@@ -16,9 +16,11 @@
 // cycle vs the raw handshake, LRU-eviction admission churn vs manual
 // recycle), and the PR-8 run-to-completion lane pipeline (per-lane
 // open+seal critical path at 1/2/4/8 lanes against the staged path,
-// SPSC-ring hand-off against a mutex-protected deque).
+// SPSC-ring hand-off against a mutex-protected deque), and the
+// hardware crypto kernels (AES-NI CBC, SHA-NI HMAC) against the
+// portable T-table / scalar kernels they dispatch around.
 // Running with `--json [path]` skips google-benchmark and instead
-// writes a before/after summary (default BENCH_pr9.json) that CI diffs
+// writes a before/after summary (default BENCH_pr12.json) that CI diffs
 // against the checked-in baselines. Note on refreshing baselines: the
 // JSON mode always emits every row (that is what CI's bench-current
 // run needs), but each checked-in BENCH_prN.json should keep only the
@@ -51,6 +53,7 @@
 #include "click/sharded_router.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kernel.hpp"
 #include "crypto/sha256.hpp"
 #include "elements/context.hpp"
 #include "endbox/configs.hpp"
@@ -1034,8 +1037,72 @@ struct Comparison {
   const char* name;
   double ns_new;
   double ns_ref;
+  std::size_t bytes = 0;  ///< bytes per op for mb_per_s; 0 = the payload size
   double speedup() const { return ns_ref / ns_new; }
 };
+
+// new = the hardware kernel (AES-NI / SHA-NI), ref = the portable one,
+// each pinned through crypto/kernel.hpp around its timed op. A row is
+// emitted only when its hardware kernel can run here, so a CPU without
+// SHA-NI records no HMAC rows rather than a 1.0x that fails the gate.
+void crypto_kernel_rows(std::vector<Comparison>& rows) {
+  using crypto::CryptoKernel;
+  constexpr std::size_t kTunnelBytes = 1400;
+  Rng rng(12);
+  const crypto::AesKey key = crypto::make_aes_key(rng.bytes(16));
+  crypto::Aes128 aes(key);
+  Bytes iv = rng.bytes(16);
+  Bytes buf = rng.bytes(crypto::cbc_padded_size(kTunnelBytes));
+  Bytes ct = crypto::aes128_cbc_encrypt(key, iv, rng.bytes(kTunnelBytes));
+  Bytes scratch = ct;
+  auto aes_pair = [&](auto&& op) {
+    auto pinned = [&](CryptoKernel kernel) {
+      return [&, kernel] {
+        crypto::pin_aes_kernel(kernel);
+        op();
+      };
+    };
+    return time_pair_ns_per_op(pinned(CryptoKernel::Hardware),
+                               pinned(CryptoKernel::Portable));
+  };
+  const CryptoKernel aes_prev = crypto::aes_kernel();
+  if (crypto::pin_aes_kernel(CryptoKernel::Hardware)) {
+    auto [enc_hw, enc_sw] = aes_pair([&] {
+      crypto::aes128_cbc_encrypt_inplace(aes, iv.data(), buf, kTunnelBytes);
+      benchmark::DoNotOptimize(buf.data());
+    });
+    // Decrypt + padding check of one ciphertext, restored by a copy
+    // each op on both sides.
+    auto [dec_hw, dec_sw] = aes_pair([&] {
+      std::memcpy(scratch.data(), ct.data(), ct.size());
+      if (!crypto::aes128_cbc_decrypt_inplace(aes, iv.data(), scratch).ok()) std::abort();
+    });
+    rows.push_back({"aes_cbc_encrypt_1400B", enc_hw, enc_sw, kTunnelBytes});
+    rows.push_back({"aes_cbc_decrypt_1400B", dec_hw, dec_sw, kTunnelBytes});
+  }
+  crypto::pin_aes_kernel(aes_prev);
+
+  const CryptoKernel sha_prev = crypto::sha256_kernel();
+  if (crypto::pin_sha256_kernel(CryptoKernel::Hardware)) {
+    crypto::HmacKey mac_key(rng.bytes(32));
+    Bytes data = rng.bytes(kTunnelBytes);
+    auto hmac_pair = [&](std::size_t len) {
+      auto pinned = [&, len](CryptoKernel kernel) {
+        return [&, len, kernel] {
+          crypto::pin_sha256_kernel(kernel);
+          benchmark::DoNotOptimize(mac_key.mac(ByteView(data.data(), len)));
+        };
+      };
+      return time_pair_ns_per_op(pinned(CryptoKernel::Hardware),
+                                 pinned(CryptoKernel::Portable));
+    };
+    auto [mac64_hw, mac64_sw] = hmac_pair(64);
+    auto [mac1400_hw, mac1400_sw] = hmac_pair(kTunnelBytes);
+    rows.push_back({"hmac_sha256_64B", mac64_hw, mac64_sw, 64});
+    rows.push_back({"hmac_sha256_1400B", mac1400_hw, mac1400_sw, kTunnelBytes});
+  }
+  crypto::pin_sha256_kernel(sha_prev);
+}
 
 int run_json_mode(const std::string& path) {
   // Spin ~200ms so a power-managed core reaches its steady frequency
@@ -1366,7 +1433,7 @@ int run_json_mode(const std::string& path) {
     stream_pf8_ref = r;
   }
 
-  Comparison comparisons[] = {
+  std::vector<Comparison> comparisons = {
       {"seal_data_1500B", seal_new, seal_ref},
       {"open_data_1500B", open_new, open_ref},
       {"ac_scan_1500B", ac_new, ac_ref},
@@ -1446,13 +1513,14 @@ int run_json_mode(const std::string& path) {
       // stream in 8B chunks, ref = the resumable full walk.
       {"stream_prefilter_8B_split", stream_pf8, stream_pf8_ref},
   };
+  crypto_kernel_rows(comparisons);
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"pr\": 10,\n  \"payload_bytes\": %zu,\n", kPayload);
+  std::fprintf(f, "{\n  \"pr\": 12,\n  \"payload_bytes\": %zu,\n", kPayload);
   std::fprintf(f,
                "  \"note\": \"ref = pre-PR implementation kept callable "
                "in-tree; click_chain rows are ns/packet for 64-packet bursts "
@@ -1489,12 +1557,17 @@ int run_json_mode(const std::string& path) {
                "against a plain copy of the same bytes (speedup -> 1.0 at "
                "the memory floor); stream_prefilter_8B_split is the "
                "tail-carry prefiltered stream path vs the resumable full "
-               "walk on a clean 1500B stream in 8B chunks\",\n");
+               "walk on a clean 1500B stream in 8B chunks; aes_cbc and "
+               "hmac_sha256 rows time one tunnel-sized buffer (or a 64B "
+               "MAC) on the hardware kernel (AES-NI, SHA-NI) vs the "
+               "portable T-table / scalar kernel, and are recorded only on "
+               "CPUs that have the instructions\",\n");
   std::fprintf(f, "  \"results\": {\n");
   for (std::size_t i = 0; i < std::size(comparisons); ++i) {
     const Comparison& c = comparisons[i];
-    double mbps_new = static_cast<double>(kPayload) * 1e3 / c.ns_new;
-    double mbps_ref = static_cast<double>(kPayload) * 1e3 / c.ns_ref;
+    const double bytes = static_cast<double>(c.bytes ? c.bytes : kPayload);
+    double mbps_new = bytes * 1e3 / c.ns_new;
+    double mbps_ref = bytes * 1e3 / c.ns_ref;
     std::fprintf(f,
                  "    \"%s\": {\"ns_per_op\": %.1f, \"ns_per_op_ref\": %.1f, "
                  "\"mb_per_s\": %.1f, \"mb_per_s_ref\": %.1f, "
@@ -1517,7 +1590,7 @@ int run_json_mode(const std::string& path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      std::string path = "BENCH_pr10.json";
+      std::string path = "BENCH_pr12.json";
       if (i + 1 < argc && argv[i + 1][0] != '-') path = argv[i + 1];
       return run_json_mode(path);
     }

@@ -46,14 +46,30 @@ void put_u32(Bytes& out, std::uint32_t v);
 void put_u64(Bytes& out, std::uint64_t v);
 
 /// Raw-pointer variants writing into preallocated storage (the
-/// allocation-free wire path builds headers in place).
-void put_u16(std::uint8_t* p, std::uint16_t v);
-void put_u32(std::uint8_t* p, std::uint32_t v);
-void put_u64(std::uint8_t* p, std::uint64_t v);
+/// allocation-free wire path builds headers in place). Inline: the
+/// portable AES rounds read every round-key word through get_u32.
+inline void put_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+inline void put_u32(std::uint8_t* p, std::uint32_t v) {
+  put_u16(p, static_cast<std::uint16_t>(v >> 16));
+  put_u16(p + 2, static_cast<std::uint16_t>(v));
+}
+inline void put_u64(std::uint8_t* p, std::uint64_t v) {
+  put_u32(p, static_cast<std::uint32_t>(v >> 32));
+  put_u32(p + 4, static_cast<std::uint32_t>(v));
+}
 
-std::uint16_t get_u16(const std::uint8_t* p);
-std::uint32_t get_u32(const std::uint8_t* p);
-std::uint64_t get_u64(const std::uint8_t* p);
+inline std::uint16_t get_u16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] << 8 | p[1]);
+}
+inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(get_u16(p)) << 16 | get_u16(p + 2);
+}
+inline std::uint64_t get_u64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(get_u32(p)) << 32 | get_u32(p + 4);
+}
 
 /// Sequential reader over a byte view. All getters throw
 /// `std::out_of_range` when the buffer is exhausted, which wire-format

@@ -1,7 +1,16 @@
 #include "crypto/aes.hpp"
 
+#include <atomic>
 #include <bit>
 #include <stdexcept>
+
+#include "common/cpu_features.hpp"
+#include "crypto/kernel.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define ENDBOX_AES_NI 1
+#endif
 
 namespace endbox::crypto {
 
@@ -121,72 +130,57 @@ inline constexpr std::uint32_t inv_mix_word(std::uint32_t w) {
          kTd2[kSbox[(w >> 8) & 0xff]] ^ kTd3[kSbox[w & 0xff]];
 }
 
-}  // namespace
 
-Aes128::Aes128(const AesKey& key) {
-  for (int i = 0; i < 4; ++i) ek_[static_cast<std::size_t>(i)] = get_u32(key.data() + i * 4);
-  std::uint8_t rcon = 1;
-  for (std::size_t i = 4; i < 44; ++i) {
-    std::uint32_t temp = ek_[i - 1];
-    if (i % 4 == 0) {
-      temp = sub_word(std::rotl(temp, 8)) ^ (static_cast<std::uint32_t>(rcon) << 24);
-      rcon = xtime(rcon);
-    }
-    ek_[i] = ek_[i - 4] ^ temp;
-  }
-  // Equivalent inverse cipher: round keys in reverse round order, with
-  // InvMixColumns applied to all but the first and last.
-  for (std::size_t r = 0; r <= 10; ++r)
-    for (std::size_t w = 0; w < 4; ++w) dk_[r * 4 + w] = ek_[(10 - r) * 4 + w];
-  for (std::size_t i = 4; i < 40; ++i) dk_[i] = inv_mix_word(dk_[i]);
-}
+// ---- Portable kernels: T-table rounds over the byte-order schedule ----
 
-void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t s0 = get_u32(in) ^ ek_[0];
-  std::uint32_t s1 = get_u32(in + 4) ^ ek_[1];
-  std::uint32_t s2 = get_u32(in + 8) ^ ek_[2];
-  std::uint32_t s3 = get_u32(in + 12) ^ ek_[3];
+void encrypt_block_portable(const std::uint8_t* ek, const std::uint8_t* in,
+                            std::uint8_t* out) {
+  std::uint32_t s0 = get_u32(in) ^ get_u32(ek);
+  std::uint32_t s1 = get_u32(in + 4) ^ get_u32(ek + 4);
+  std::uint32_t s2 = get_u32(in + 8) ^ get_u32(ek + 8);
+  std::uint32_t s3 = get_u32(in + 12) ^ get_u32(ek + 12);
   for (int round = 1; round < 10; ++round) {
-    const std::uint32_t* rk = ek_.data() + round * 4;
+    const std::uint8_t* rk = ek + round * 16;
     std::uint32_t t0 = kTe0[s0 >> 24] ^ kTe1[(s1 >> 16) & 0xff] ^
-                       kTe2[(s2 >> 8) & 0xff] ^ kTe3[s3 & 0xff] ^ rk[0];
+                       kTe2[(s2 >> 8) & 0xff] ^ kTe3[s3 & 0xff] ^ get_u32(rk);
     std::uint32_t t1 = kTe0[s1 >> 24] ^ kTe1[(s2 >> 16) & 0xff] ^
-                       kTe2[(s3 >> 8) & 0xff] ^ kTe3[s0 & 0xff] ^ rk[1];
+                       kTe2[(s3 >> 8) & 0xff] ^ kTe3[s0 & 0xff] ^ get_u32(rk + 4);
     std::uint32_t t2 = kTe0[s2 >> 24] ^ kTe1[(s3 >> 16) & 0xff] ^
-                       kTe2[(s0 >> 8) & 0xff] ^ kTe3[s1 & 0xff] ^ rk[2];
+                       kTe2[(s0 >> 8) & 0xff] ^ kTe3[s1 & 0xff] ^ get_u32(rk + 8);
     std::uint32_t t3 = kTe0[s3 >> 24] ^ kTe1[(s0 >> 16) & 0xff] ^
-                       kTe2[(s1 >> 8) & 0xff] ^ kTe3[s2 & 0xff] ^ rk[3];
+                       kTe2[(s1 >> 8) & 0xff] ^ kTe3[s2 & 0xff] ^ get_u32(rk + 12);
     s0 = t0; s1 = t1; s2 = t2; s3 = t3;
   }
-  const std::uint32_t* rk = ek_.data() + 40;
+  const std::uint8_t* rk = ek + 160;
   put_u32(out, (sub_word((s0 & 0xff000000u) | (s1 & 0x00ff0000u) |
-                         (s2 & 0x0000ff00u) | (s3 & 0x000000ffu))) ^ rk[0]);
+                         (s2 & 0x0000ff00u) | (s3 & 0x000000ffu))) ^ get_u32(rk));
   put_u32(out + 4, (sub_word((s1 & 0xff000000u) | (s2 & 0x00ff0000u) |
-                             (s3 & 0x0000ff00u) | (s0 & 0x000000ffu))) ^ rk[1]);
+                             (s3 & 0x0000ff00u) | (s0 & 0x000000ffu))) ^ get_u32(rk + 4));
   put_u32(out + 8, (sub_word((s2 & 0xff000000u) | (s3 & 0x00ff0000u) |
-                             (s0 & 0x0000ff00u) | (s1 & 0x000000ffu))) ^ rk[2]);
+                             (s0 & 0x0000ff00u) | (s1 & 0x000000ffu))) ^ get_u32(rk + 8));
   put_u32(out + 12, (sub_word((s3 & 0xff000000u) | (s0 & 0x00ff0000u) |
-                              (s1 & 0x0000ff00u) | (s2 & 0x000000ffu))) ^ rk[3]);
+                              (s1 & 0x0000ff00u) | (s2 & 0x000000ffu))) ^ get_u32(rk + 12));
 }
 
-void Aes128::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint32_t s0 = get_u32(in) ^ dk_[0];
-  std::uint32_t s1 = get_u32(in + 4) ^ dk_[1];
-  std::uint32_t s2 = get_u32(in + 8) ^ dk_[2];
-  std::uint32_t s3 = get_u32(in + 12) ^ dk_[3];
+void decrypt_block_portable(const std::uint8_t* dk, const std::uint8_t* in,
+                            std::uint8_t* out) {
+  std::uint32_t s0 = get_u32(in) ^ get_u32(dk);
+  std::uint32_t s1 = get_u32(in + 4) ^ get_u32(dk + 4);
+  std::uint32_t s2 = get_u32(in + 8) ^ get_u32(dk + 8);
+  std::uint32_t s3 = get_u32(in + 12) ^ get_u32(dk + 12);
   for (int round = 1; round < 10; ++round) {
-    const std::uint32_t* rk = dk_.data() + round * 4;
+    const std::uint8_t* rk = dk + round * 16;
     std::uint32_t t0 = kTd0[s0 >> 24] ^ kTd1[(s3 >> 16) & 0xff] ^
-                       kTd2[(s2 >> 8) & 0xff] ^ kTd3[s1 & 0xff] ^ rk[0];
+                       kTd2[(s2 >> 8) & 0xff] ^ kTd3[s1 & 0xff] ^ get_u32(rk);
     std::uint32_t t1 = kTd0[s1 >> 24] ^ kTd1[(s0 >> 16) & 0xff] ^
-                       kTd2[(s3 >> 8) & 0xff] ^ kTd3[s2 & 0xff] ^ rk[1];
+                       kTd2[(s3 >> 8) & 0xff] ^ kTd3[s2 & 0xff] ^ get_u32(rk + 4);
     std::uint32_t t2 = kTd0[s2 >> 24] ^ kTd1[(s1 >> 16) & 0xff] ^
-                       kTd2[(s0 >> 8) & 0xff] ^ kTd3[s3 & 0xff] ^ rk[2];
+                       kTd2[(s0 >> 8) & 0xff] ^ kTd3[s3 & 0xff] ^ get_u32(rk + 8);
     std::uint32_t t3 = kTd0[s3 >> 24] ^ kTd1[(s2 >> 16) & 0xff] ^
-                       kTd2[(s1 >> 8) & 0xff] ^ kTd3[s0 & 0xff] ^ rk[3];
+                       kTd2[(s1 >> 8) & 0xff] ^ kTd3[s0 & 0xff] ^ get_u32(rk + 12);
     s0 = t0; s1 = t1; s2 = t2; s3 = t3;
   }
-  const std::uint32_t* rk = dk_.data() + 40;
+  const std::uint8_t* rk = dk + 160;
   auto inv_sub = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
                     std::uint32_t d) {
     return (static_cast<std::uint32_t>(kInvSbox[a >> 24]) << 24) |
@@ -194,10 +188,319 @@ void Aes128::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
            (static_cast<std::uint32_t>(kInvSbox[(c >> 8) & 0xff]) << 8) |
            static_cast<std::uint32_t>(kInvSbox[d & 0xff]);
   };
-  put_u32(out, inv_sub(s0, s3, s2, s1) ^ rk[0]);
-  put_u32(out + 4, inv_sub(s1, s0, s3, s2) ^ rk[1]);
-  put_u32(out + 8, inv_sub(s2, s1, s0, s3) ^ rk[2]);
-  put_u32(out + 12, inv_sub(s3, s2, s1, s0) ^ rk[3]);
+  put_u32(out, inv_sub(s0, s3, s2, s1) ^ get_u32(rk));
+  put_u32(out + 4, inv_sub(s1, s0, s3, s2) ^ get_u32(rk + 4));
+  put_u32(out + 8, inv_sub(s2, s1, s0, s3) ^ get_u32(rk + 8));
+  put_u32(out + 12, inv_sub(s3, s2, s1, s0) ^ get_u32(rk + 12));
+}
+
+void cbc_encrypt_portable(const std::uint8_t* ek, const std::uint8_t* iv,
+                          std::uint8_t* buf, std::size_t blocks) {
+  const std::uint8_t* prev = iv;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint8_t* block = buf + b * kAesBlockSize;
+    for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
+    encrypt_block_portable(ek, block, block);
+    prev = block;
+  }
+}
+
+void cbc_decrypt_portable(const std::uint8_t* dk, const std::uint8_t* iv,
+                          std::uint8_t* buf, std::size_t blocks) {
+  std::uint8_t prev[kAesBlockSize];
+  std::memcpy(prev, iv, kAesBlockSize);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint8_t* block = buf + b * kAesBlockSize;
+    std::uint8_t saved[kAesBlockSize];
+    std::memcpy(saved, block, kAesBlockSize);
+    decrypt_block_portable(dk, block, block);
+    for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
+    std::memcpy(prev, saved, kAesBlockSize);
+  }
+}
+
+void ctr_portable(const std::uint8_t* ek, const std::uint8_t* nonce,
+                  std::uint8_t* data, std::size_t len) {
+  std::uint8_t counter[kAesBlockSize];
+  std::memcpy(counter, nonce, kAesBlockSize);
+  std::uint8_t keystream[kAesBlockSize];
+  for (std::size_t off = 0; off < len; off += kAesBlockSize) {
+    encrypt_block_portable(ek, counter, keystream);
+    std::size_t n = std::min(kAesBlockSize, len - off);
+    for (std::size_t i = 0; i < n; ++i) data[off + i] ^= keystream[i];
+    // increment big-endian counter
+    for (int i = kAesBlockSize - 1; i >= 0; --i)
+      if (++counter[i] != 0) break;
+  }
+}
+
+// ---- AES-NI kernels ----------------------------------------------------
+//
+// Compiled per function for the aes target, so the binary still runs
+// on any x86-64; only called when cpuid reports AES-NI. The round keys
+// are the same byte-order schedule the portable path reads (dk_ already
+// carries InvMixColumns, which is what aesdec expects). CBC-encrypt is
+// a serial chain; CBC-decrypt and CTR have independent blocks, so they
+// keep four in flight to cover the aesenc/aesdec latency.
+
+#ifdef ENDBOX_AES_NI
+
+#define ENDBOX_AES_TARGET __attribute__((target("aes")))
+
+ENDBOX_AES_TARGET inline void load_round_keys(const std::uint8_t* rk,
+                                              __m128i k[11]) {
+  for (int r = 0; r < 11; ++r)
+    k[r] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * r));
+}
+
+ENDBOX_AES_TARGET inline __m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+ENDBOX_AES_TARGET inline void store_block(std::uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+ENDBOX_AES_TARGET inline __m128i encrypt_ni(const __m128i k[11], __m128i b) {
+  b = _mm_xor_si128(b, k[0]);
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r) b = _mm_aesenc_si128(b, k[r]);
+  return _mm_aesenclast_si128(b, k[10]);
+}
+
+ENDBOX_AES_TARGET inline __m128i decrypt_ni(const __m128i k[11], __m128i b) {
+  b = _mm_xor_si128(b, k[0]);
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r) b = _mm_aesdec_si128(b, k[r]);
+  return _mm_aesdeclast_si128(b, k[10]);
+}
+
+/// Encrypts four blocks in lock-step: four independent chains per
+/// round keep the AES unit busy. Named operands, not an array, so the
+/// blocks stay in registers.
+ENDBOX_AES_TARGET inline void encrypt4_ni(const __m128i k[11], __m128i& b0,
+                                          __m128i& b1, __m128i& b2, __m128i& b3) {
+  b0 = _mm_xor_si128(b0, k[0]);
+  b1 = _mm_xor_si128(b1, k[0]);
+  b2 = _mm_xor_si128(b2, k[0]);
+  b3 = _mm_xor_si128(b3, k[0]);
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r) {
+    b0 = _mm_aesenc_si128(b0, k[r]);
+    b1 = _mm_aesenc_si128(b1, k[r]);
+    b2 = _mm_aesenc_si128(b2, k[r]);
+    b3 = _mm_aesenc_si128(b3, k[r]);
+  }
+  b0 = _mm_aesenclast_si128(b0, k[10]);
+  b1 = _mm_aesenclast_si128(b1, k[10]);
+  b2 = _mm_aesenclast_si128(b2, k[10]);
+  b3 = _mm_aesenclast_si128(b3, k[10]);
+}
+
+ENDBOX_AES_TARGET inline void decrypt4_ni(const __m128i k[11], __m128i& b0,
+                                          __m128i& b1, __m128i& b2, __m128i& b3) {
+  b0 = _mm_xor_si128(b0, k[0]);
+  b1 = _mm_xor_si128(b1, k[0]);
+  b2 = _mm_xor_si128(b2, k[0]);
+  b3 = _mm_xor_si128(b3, k[0]);
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r) {
+    b0 = _mm_aesdec_si128(b0, k[r]);
+    b1 = _mm_aesdec_si128(b1, k[r]);
+    b2 = _mm_aesdec_si128(b2, k[r]);
+    b3 = _mm_aesdec_si128(b3, k[r]);
+  }
+  b0 = _mm_aesdeclast_si128(b0, k[10]);
+  b1 = _mm_aesdeclast_si128(b1, k[10]);
+  b2 = _mm_aesdeclast_si128(b2, k[10]);
+  b3 = _mm_aesdeclast_si128(b3, k[10]);
+}
+
+ENDBOX_AES_TARGET void encrypt_block_ni(const std::uint8_t* ek,
+                                        const std::uint8_t* in,
+                                        std::uint8_t* out) {
+  __m128i k[11];
+  load_round_keys(ek, k);
+  store_block(out, encrypt_ni(k, load_block(in)));
+}
+
+ENDBOX_AES_TARGET void decrypt_block_ni(const std::uint8_t* dk,
+                                        const std::uint8_t* in,
+                                        std::uint8_t* out) {
+  __m128i k[11];
+  load_round_keys(dk, k);
+  store_block(out, decrypt_ni(k, load_block(in)));
+}
+
+ENDBOX_AES_TARGET void cbc_encrypt_ni(const std::uint8_t* ek,
+                                      const std::uint8_t* iv,
+                                      std::uint8_t* buf, std::size_t blocks) {
+  __m128i k[11];
+  load_round_keys(ek, k);
+  __m128i chain = load_block(iv);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint8_t* p = buf + b * kAesBlockSize;
+    chain = encrypt_ni(k, _mm_xor_si128(load_block(p), chain));
+    store_block(p, chain);
+  }
+}
+
+ENDBOX_AES_TARGET void cbc_decrypt_ni(const std::uint8_t* dk,
+                                      const std::uint8_t* iv,
+                                      std::uint8_t* buf, std::size_t blocks) {
+  __m128i k[11];
+  load_round_keys(dk, k);
+  __m128i prev = load_block(iv);
+  std::size_t b = 0;
+  for (; b + 4 <= blocks; b += 4) {
+    std::uint8_t* p = buf + b * kAesBlockSize;
+    const __m128i c0 = load_block(p), c1 = load_block(p + 16),
+                  c2 = load_block(p + 32), c3 = load_block(p + 48);
+    __m128i x0 = c0, x1 = c1, x2 = c2, x3 = c3;
+    decrypt4_ni(k, x0, x1, x2, x3);
+    store_block(p, _mm_xor_si128(x0, prev));
+    store_block(p + 16, _mm_xor_si128(x1, c0));
+    store_block(p + 32, _mm_xor_si128(x2, c1));
+    store_block(p + 48, _mm_xor_si128(x3, c2));
+    prev = c3;
+  }
+  for (; b < blocks; ++b) {
+    std::uint8_t* p = buf + b * kAesBlockSize;
+    __m128i c = load_block(p);
+    store_block(p, _mm_xor_si128(decrypt_ni(k, c), prev));
+    prev = c;
+  }
+}
+
+/// Big-endian 128-bit counter held as two native halves.
+struct Counter128 {
+  std::uint64_t hi, lo;
+
+  ENDBOX_AES_TARGET __m128i next() {
+    __m128i block = _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                                   static_cast<long long>(__builtin_bswap64(hi)));
+    if (++lo == 0) ++hi;
+    return block;
+  }
+};
+
+ENDBOX_AES_TARGET void ctr_ni(const std::uint8_t* ek, const std::uint8_t* nonce,
+                              std::uint8_t* data, std::size_t len) {
+  __m128i k[11];
+  load_round_keys(ek, k);
+  Counter128 counter{get_u64(nonce), get_u64(nonce + 8)};
+  std::size_t off = 0;
+  for (; off + 4 * kAesBlockSize <= len; off += 4 * kAesBlockSize) {
+    std::uint8_t* p = data + off;
+    __m128i k0 = counter.next(), k1 = counter.next(), k2 = counter.next(),
+            k3 = counter.next();
+    encrypt4_ni(k, k0, k1, k2, k3);
+    store_block(p, _mm_xor_si128(load_block(p), k0));
+    store_block(p + 16, _mm_xor_si128(load_block(p + 16), k1));
+    store_block(p + 32, _mm_xor_si128(load_block(p + 32), k2));
+    store_block(p + 48, _mm_xor_si128(load_block(p + 48), k3));
+  }
+  for (; off + kAesBlockSize <= len; off += kAesBlockSize)
+    store_block(data + off, _mm_xor_si128(load_block(data + off),
+                                          encrypt_ni(k, counter.next())));
+  if (off < len) {
+    std::uint8_t keystream[kAesBlockSize];
+    store_block(keystream, encrypt_ni(k, counter.next()));
+    for (std::size_t i = 0; off + i < len; ++i) data[off + i] ^= keystream[i];
+  }
+}
+
+#endif  // ENDBOX_AES_NI
+
+// ---- Dispatch ----------------------------------------------------------
+
+/// One implementation of every AES entry point; the mode kernels run a
+/// whole buffer per call, so dispatch costs one load per buffer.
+struct AesKernelSet {
+  void (*encrypt_block)(const std::uint8_t* ek, const std::uint8_t* in, std::uint8_t* out);
+  void (*decrypt_block)(const std::uint8_t* dk, const std::uint8_t* in, std::uint8_t* out);
+  void (*cbc_encrypt)(const std::uint8_t* ek, const std::uint8_t* iv,
+                      std::uint8_t* buf, std::size_t blocks);
+  void (*cbc_decrypt)(const std::uint8_t* dk, const std::uint8_t* iv,
+                      std::uint8_t* buf, std::size_t blocks);
+  void (*ctr)(const std::uint8_t* ek, const std::uint8_t* nonce,
+              std::uint8_t* data, std::size_t len);
+};
+
+constexpr AesKernelSet kPortableAes{encrypt_block_portable, decrypt_block_portable,
+                                    cbc_encrypt_portable, cbc_decrypt_portable,
+                                    ctr_portable};
+#ifdef ENDBOX_AES_NI
+constexpr AesKernelSet kAesNi{encrypt_block_ni, decrypt_block_ni, cbc_encrypt_ni,
+                              cbc_decrypt_ni, ctr_ni};
+#endif
+
+const AesKernelSet* kernel_set(CryptoKernel kernel) {
+#ifdef ENDBOX_AES_NI
+  if (kernel == CryptoKernel::Hardware) return &kAesNi;
+#endif
+  (void)kernel;
+  return &kPortableAes;
+}
+
+std::atomic<const AesKernelSet*>& selected() {
+  static std::atomic<const AesKernelSet*> set{kernel_set(
+      common::has_aes_ni() ? CryptoKernel::Hardware : CryptoKernel::Portable)};
+  return set;
+}
+
+const AesKernelSet& kernels() { return *selected().load(std::memory_order_relaxed); }
+
+}  // namespace
+
+CryptoKernel aes_kernel() {
+  return selected().load(std::memory_order_relaxed) == &kPortableAes
+             ? CryptoKernel::Portable
+             : CryptoKernel::Hardware;
+}
+
+bool pin_aes_kernel(CryptoKernel kernel) {
+  if (kernel == CryptoKernel::Hardware && !common::hardware_has_aes_ni()) return false;
+  selected().store(kernel_set(kernel), std::memory_order_relaxed);
+  return true;
+}
+
+/// Grants the mode functions access to an Aes128's round keys.
+struct AesRoundKeys {
+  static const std::uint8_t* enc(const Aes128& aes) { return aes.ek_.data(); }
+  static const std::uint8_t* dec(const Aes128& aes) { return aes.dk_.data(); }
+};
+
+Aes128::Aes128(const AesKey& key) {
+  std::array<std::uint32_t, 44> w;
+  for (int i = 0; i < 4; ++i) w[static_cast<std::size_t>(i)] = get_u32(key.data() + i * 4);
+  std::uint8_t rcon = 1;
+  for (std::size_t i = 4; i < 44; ++i) {
+    std::uint32_t temp = w[i - 1];
+    if (i % 4 == 0) {
+      temp = sub_word(std::rotl(temp, 8)) ^ (static_cast<std::uint32_t>(rcon) << 24);
+      rcon = xtime(rcon);
+    }
+    w[i] = w[i - 4] ^ temp;
+  }
+  // Equivalent inverse cipher: round keys in reverse round order, with
+  // InvMixColumns applied to all but the first and last.
+  for (std::size_t r = 0; r <= 10; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      std::uint32_t dec = w[(10 - r) * 4 + c];
+      if (r != 0 && r != 10) dec = inv_mix_word(dec);
+      put_u32(ek_.data() + r * 16 + c * 4, w[r * 4 + c]);
+      put_u32(dk_.data() + r * 16 + c * 4, dec);
+    }
+  }
+}
+
+void Aes128::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+  kernels().encrypt_block(ek_.data(), in, out);
+}
+
+void Aes128::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
+  kernels().decrypt_block(dk_.data(), in, out);
 }
 
 AesKey make_aes_key(ByteView key) {
@@ -214,13 +517,8 @@ void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
     throw std::invalid_argument("CBC buffer must be the padded size");
   std::uint8_t pad = static_cast<std::uint8_t>(buf.size() - plaintext_len);
   for (std::size_t i = plaintext_len; i < buf.size(); ++i) buf[i] = pad;
-  const std::uint8_t* prev = iv;
-  for (std::size_t off = 0; off < buf.size(); off += kAesBlockSize) {
-    std::uint8_t* block = buf.data() + off;
-    for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
-    aes.encrypt_block(block, block);
-    prev = block;
-  }
+  kernels().cbc_encrypt(AesRoundKeys::enc(aes), iv, buf.data(),
+                        buf.size() / kAesBlockSize);
 }
 
 Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,
@@ -228,16 +526,8 @@ Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,
                                                std::span<std::uint8_t> buf) {
   if (buf.empty() || buf.size() % kAesBlockSize != 0)
     return err("CBC ciphertext must be a positive multiple of 16 bytes");
-  std::uint8_t prev[kAesBlockSize];
-  std::memcpy(prev, iv, kAesBlockSize);
-  for (std::size_t off = 0; off < buf.size(); off += kAesBlockSize) {
-    std::uint8_t* block = buf.data() + off;
-    std::uint8_t saved[kAesBlockSize];
-    std::memcpy(saved, block, kAesBlockSize);
-    aes.decrypt_block(block, block);
-    for (std::size_t i = 0; i < kAesBlockSize; ++i) block[i] ^= prev[i];
-    std::memcpy(prev, saved, kAesBlockSize);
-  }
+  kernels().cbc_decrypt(AesRoundKeys::dec(aes), iv, buf.data(),
+                        buf.size() / kAesBlockSize);
   std::uint8_t pad = buf.back();
   if (pad == 0 || pad > kAesBlockSize || pad > buf.size()) return err("bad CBC padding");
   for (std::size_t i = buf.size() - pad; i < buf.size(); ++i)
@@ -247,17 +537,7 @@ Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,
 
 void aes128_ctr_inplace(const Aes128& aes, const std::uint8_t* nonce,
                         std::span<std::uint8_t> data) {
-  std::uint8_t counter[kAesBlockSize];
-  std::memcpy(counter, nonce, kAesBlockSize);
-  std::uint8_t keystream[kAesBlockSize];
-  for (std::size_t off = 0; off < data.size(); off += kAesBlockSize) {
-    aes.encrypt_block(counter, keystream);
-    std::size_t n = std::min(kAesBlockSize, data.size() - off);
-    for (std::size_t i = 0; i < n; ++i) data[off + i] ^= keystream[i];
-    // increment big-endian counter
-    for (int i = kAesBlockSize - 1; i >= 0; --i)
-      if (++counter[i] != 0) break;
-  }
+  kernels().ctr(AesRoundKeys::enc(aes), nonce, data.data(), data.size());
 }
 
 Bytes aes128_cbc_encrypt(const AesKey& key, ByteView iv, ByteView plaintext) {

@@ -2,10 +2,13 @@
 //
 // The VPN data channel uses AES-128-CBC + HMAC (encrypt-then-MAC), the
 // TLS record layer uses AES-128-CTR, and the SGX sealing format uses
-// AES-128-CTR with a sealing key derived from the measurement. The
-// block cipher uses the classic 32-bit T-table formulation (four 1KB
-// lookup tables per direction, generated at compile time from the
-// spec), and every mode has an in-place span variant so the VPN fast
+// AES-128-CTR with a sealing key derived from the measurement. Every
+// entry point dispatches once per call (crypto/kernel.hpp) to an AES-NI
+// kernel — serial CBC-encrypt, 4-way pipelined CBC-decrypt and CTR —
+// or to the portable 32-bit T-table cipher (four 1KB lookup tables per
+// direction, generated at compile time from the spec), which stays as
+// the fallback and the differential oracle. Both read one key
+// schedule. Every mode has an in-place span variant so the VPN fast
 // path encrypts without allocating or copying.
 #pragma once
 
@@ -34,8 +37,14 @@ class Aes128 {
   void decrypt_block(const std::uint8_t* in, std::uint8_t* out) const;
 
  private:
-  std::array<std::uint32_t, 44> ek_;  ///< encryption round keys
-  std::array<std::uint32_t, 44> dk_;  ///< equivalent-inverse-cipher round keys
+  friend struct AesRoundKeys;  // the mode kernels in aes.cpp
+
+  // 11 round keys of 16 bytes each, in byte order: the portable cipher
+  // reads them as big-endian words, AES-NI loads them as is.
+  std::array<std::uint8_t, 176> ek_;  ///< encryption round keys
+  /// Equivalent-inverse-cipher round keys (reverse order, InvMixColumns
+  /// applied to rounds 1..9): what both T-table and aesdec consume.
+  std::array<std::uint8_t, 176> dk_;
 };
 
 /// Converts a Bytes key (must be 16 bytes) to an AesKey.

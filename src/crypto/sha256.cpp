@@ -1,5 +1,15 @@
 #include "crypto/sha256.hpp"
 
+#include <atomic>
+
+#include "common/cpu_features.hpp"
+#include "crypto/kernel.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define ENDBOX_SHA_NI 1
+#endif
+
 namespace endbox::crypto {
 
 namespace {
@@ -21,7 +31,123 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32 - n));
 }
 
+/// Portable compression of `blocks` consecutive 64-byte blocks.
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = get_u32(data + i * 4);
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g; g = f; f = e;
+      e = d + temp1;
+      d = c; c = b; b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#ifdef ENDBOX_SHA_NI
+
+// SHA-NI compression (Intel SHA extensions). sha256rnds2 keeps the
+// working variables as ABEF/CDGH register pairs, so the state is
+// repacked from state_'s A..H order once per call, not per block.
+// Message words are scheduled four at a time: W[t..t+3] =
+// msg2(msg1(W[t-16..], W[t-12..]) + W[t-7..t-4], W[t-4..t-1]).
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = w[g & 3];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byte_swap);
+      } else {
+        const __m128i prev = w[(g - 1) & 3];
+        cur = _mm_sha256msg1_epu32(cur, w[(g - 3) & 3]);
+        cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev, w[(g - 2) & 3], 4));
+        cur = _mm_sha256msg2_epu32(cur, prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // ENDBOX_SHA_NI
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+CompressFn compress_for(CryptoKernel kernel) {
+#ifdef ENDBOX_SHA_NI
+  if (kernel == CryptoKernel::Hardware) return compress_sha_ni;
+#endif
+  (void)kernel;
+  return compress_portable;
+}
+
+std::atomic<CompressFn>& selected() {
+  static std::atomic<CompressFn> fn{compress_for(
+      common::has_sha_ni() ? CryptoKernel::Hardware : CryptoKernel::Portable)};
+  return fn;
+}
+
+void compress(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  selected().load(std::memory_order_relaxed)(state, data, blocks);
+}
+
 }  // namespace
+
+CryptoKernel sha256_kernel() {
+  return selected().load(std::memory_order_relaxed) == compress_portable
+             ? CryptoKernel::Portable
+             : CryptoKernel::Hardware;
+}
+
+bool pin_sha256_kernel(CryptoKernel kernel) {
+  if (kernel == CryptoKernel::Hardware && !common::hardware_has_sha_ni()) return false;
+  selected().store(compress_for(kernel), std::memory_order_relaxed);
+  return true;
+}
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -36,13 +162,13 @@ void Sha256::update(ByteView data) {
     buffered_ += to_copy;
     offset = to_copy;
     if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
+    compress(state_.data(), data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -52,15 +178,12 @@ void Sha256::update(ByteView data) {
 
 Sha256Digest Sha256::finish() {
   std::uint64_t bit_len = total_bytes_ * 8;
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length:
+  // one update, so the final block(s) cost one kernel call.
   std::uint8_t pad[72] = {0x80};
   std::size_t pad_len = (buffered_ < 56) ? 56 - buffered_ : 120 - buffered_;
-  update(ByteView(pad, pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 7; i >= 0; --i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len);
-    bit_len >>= 8;
-  }
-  update(ByteView(len_be, 8));
+  put_u64(pad + pad_len, bit_len);
+  update(ByteView(pad, pad_len + 8));
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -70,32 +193,6 @@ Sha256Digest Sha256::finish() {
     digest[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = get_u32(block + i * 4);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g; g = f; f = e;
-    e = d + temp1;
-    d = c; c = b; b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
 }
 
 Sha256Digest Sha256::hash(ByteView data) {

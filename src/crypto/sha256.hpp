@@ -1,6 +1,8 @@
 // SHA-256 (FIPS 180-4). Used for enclave measurements, HMAC, key
 // derivation and certificate digests. Implemented from the spec; no
-// external dependencies.
+// external dependencies. update() compresses all whole blocks of a
+// call in one kernel call: SHA-NI where the CPU has it, else the
+// portable scalar compression (crypto/kernel.hpp).
 #pragma once
 
 #include <array>
@@ -24,8 +26,6 @@ class Sha256 {
   static Sha256Digest hash(ByteView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -1,10 +1,16 @@
 // Unit tests for src/crypto against published test vectors (SHA-256,
-// HMAC-SHA-256, AES-128) plus property tests for modes and toy-RSA.
+// HMAC-SHA-256, AES-128), property tests for modes and toy-RSA, and
+// differential tests of the hardware kernels (AES-NI, SHA-NI) against
+// the portable ones, pinned explicitly through crypto/kernel.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kernel.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 
@@ -190,6 +196,310 @@ TEST(Aes, CtrCounterAdvancesAcrossBlocks) {
     for (int j = i + 1; j < 4; ++j)
       EXPECT_FALSE(std::equal(ks.begin() + i * 16, ks.begin() + (i + 1) * 16,
                               ks.begin() + j * 16));
+}
+
+// ---- Hardware kernels vs the portable oracle -----------------------------
+//
+// Each case runs the same call once with the portable kernel pinned and
+// once with the hardware one, and demands identical bytes. The hardware
+// side is skipped only when the CPU lacks the instructions; the
+// ENDBOX_FORCE_SCALAR override does not stop an explicit pin.
+
+static_assert(sizeof(Aes128) == 2 * 11 * kAesBlockSize,
+              "one byte-order key schedule per direction, nothing else");
+static_assert(sizeof(Sha256) == 8 * 4 + 64 + sizeof(std::size_t) + 8,
+              "both kernels share state_; no per-kernel fields");
+
+/// Runs `f` with the AES kernel pinned to `kernel`, then restores the
+/// process selection.
+template <typename F>
+auto with_aes(CryptoKernel kernel, F&& f) {
+  const CryptoKernel prev = aes_kernel();
+  EXPECT_TRUE(pin_aes_kernel(kernel));
+  auto result = f();
+  pin_aes_kernel(prev);
+  return result;
+}
+
+template <typename F>
+auto with_sha(CryptoKernel kernel, F&& f) {
+  const CryptoKernel prev = sha256_kernel();
+  EXPECT_TRUE(pin_sha256_kernel(kernel));
+  auto result = f();
+  pin_sha256_kernel(prev);
+  return result;
+}
+
+/// Runs `f` on both AES kernels and expects equal results.
+template <typename F>
+void expect_aes_agree(F&& f, const std::string& what) {
+  auto portable = with_aes(CryptoKernel::Portable, f);
+  auto hardware = with_aes(CryptoKernel::Hardware, f);
+  EXPECT_EQ(portable, hardware) << what;
+}
+
+template <typename F>
+void expect_sha_agree(F&& f, const std::string& what) {
+  auto portable = with_sha(CryptoKernel::Portable, f);
+  auto hardware = with_sha(CryptoKernel::Hardware, f);
+  EXPECT_EQ(portable, hardware) << what;
+}
+
+class AesKernelDiff : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!common::hardware_has_aes_ni()) GTEST_SKIP() << "CPU lacks AES-NI";
+  }
+};
+
+class ShaKernelDiff : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!common::hardware_has_sha_ni()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  }
+};
+
+TEST_F(AesKernelDiff, SingleBlocksMatchUnderRandomKeys) {
+  Rng rng(101);
+  for (int trial = 0; trial < 256; ++trial) {
+    Aes128 aes(make_aes_key(rng.bytes(16)));
+    Bytes block = rng.bytes(16);
+    expect_aes_agree([&] {
+      Bytes ct(16), pt(16);
+      aes.encrypt_block(block.data(), ct.data());
+      aes.decrypt_block(block.data(), pt.data());
+      return std::make_pair(ct, pt);
+    }, "trial=" + std::to_string(trial));
+  }
+}
+
+TEST_F(AesKernelDiff, CbcEncryptEveryLength) {
+  Rng rng(102);
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    auto key = make_aes_key(rng.bytes(16));
+    Bytes iv = rng.bytes(16);
+    Bytes pt = rng.bytes(len);
+    expect_aes_agree([&] { return aes128_cbc_encrypt(key, iv, pt); },
+                     "len=" + std::to_string(len));
+  }
+}
+
+TEST_F(AesKernelDiff, CbcDecryptEveryLength) {
+  // Valid ciphertexts must decrypt to the same plaintext; random
+  // ciphertexts of every length exercise the 4-way body, the 1-block
+  // tail, non-multiple lengths and garbage padding alike.
+  Rng rng(103);
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    auto key = make_aes_key(rng.bytes(16));
+    Bytes iv = rng.bytes(16);
+    Bytes valid = aes128_cbc_encrypt(key, iv, rng.bytes(len));
+    Bytes garbage = rng.bytes(len);
+    for (const Bytes* ct : {&valid, &garbage}) {
+      expect_aes_agree([&] {
+        Bytes buf = *ct;
+        Aes128 aes(key);
+        auto r = aes128_cbc_decrypt_inplace(aes, iv.data(), buf);
+        return std::make_tuple(r.ok(), r.ok() ? *r : 0, buf);
+      }, "len=" + std::to_string(len) + (ct == &valid ? " valid" : " garbage"));
+    }
+  }
+}
+
+TEST_F(AesKernelDiff, CtrEveryLength) {
+  Rng rng(104);
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    auto key = make_aes_key(rng.bytes(16));
+    Bytes nonce = rng.bytes(16);
+    Bytes data = rng.bytes(len);
+    expect_aes_agree([&] { return aes128_ctr(key, nonce, data); },
+                     "len=" + std::to_string(len));
+  }
+}
+
+TEST_F(AesKernelDiff, CtrCounterCarriesAcrossEveryByte) {
+  // Counters one block short of wrapping at the low 64-bit half, the
+  // whole 128 bits and an inner byte: the big-endian increment must
+  // carry identically however the kernel holds the counter.
+  Rng rng(105);
+  auto key = make_aes_key(rng.bytes(16));
+  Bytes data = rng.bytes(16 * 9 + 5);
+  for (const char* hex : {"000000000000000000fffffffffffffe",
+                          "0123456789abcdefffffffffffffffff",
+                          "fffffffffffffffffffffffffffffffd",
+                          "00000000000000000000000000ffffff"}) {
+    Bytes nonce = *from_hex(hex);
+    expect_aes_agree([&] { return aes128_ctr(key, nonce, data); }, hex);
+  }
+}
+
+TEST_F(AesKernelDiff, InPlaceAtMisalignedOffsets) {
+  Rng rng(106);
+  Aes128 aes(make_aes_key(rng.bytes(16)));
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    for (std::size_t len : {0u, 15u, 16u, 63u, 64u, 65u, 200u, 1400u}) {
+      Bytes backing = rng.bytes(offset + cbc_padded_size(len) + 16);
+      Bytes iv_backing = rng.bytes(offset + 16);
+      const std::uint8_t* iv = iv_backing.data() + offset;
+      const std::string what =
+          "offset=" + std::to_string(offset) + " len=" + std::to_string(len);
+      // Each run returns the whole backing store, so a write outside the
+      // span (or a short one) shows up as a difference too.
+      auto cbc = [&] {
+        Bytes b = backing;
+        std::span<std::uint8_t> buf(b.data() + offset, cbc_padded_size(len));
+        aes128_cbc_encrypt_inplace(aes, iv, buf, len);
+        Bytes enc = b;
+        auto r = aes128_cbc_decrypt_inplace(aes, iv, buf);
+        return std::make_tuple(enc, r.ok() ? *r : ~std::size_t{0}, b);
+      };
+      auto ctr = [&] {
+        Bytes b = backing;
+        aes128_ctr_inplace(aes, iv, std::span<std::uint8_t>(b.data() + offset, len));
+        return b;
+      };
+      expect_aes_agree(cbc, "cbc " + what);
+      expect_aes_agree(ctr, "ctr " + what);
+      // Round trip restores the plaintext; bytes around the span are
+      // untouched.
+      auto [enc, plain_len, dec] = with_aes(CryptoKernel::Hardware, cbc);
+      EXPECT_EQ(plain_len, len) << what;
+      EXPECT_TRUE(std::equal(dec.begin(), dec.begin() + static_cast<std::ptrdiff_t>(offset + len),
+                             backing.begin()))
+          << what;
+      const auto tail = static_cast<std::ptrdiff_t>(offset + cbc_padded_size(len));
+      EXPECT_TRUE(std::equal(enc.begin() + tail, enc.end(), backing.begin() + tail)) << what;
+    }
+  }
+}
+
+TEST_F(AesKernelDiff, CbcPaddingRejectionIsIdentical) {
+  // Tamper with the second-to-last ciphertext block so the final
+  // plaintext block's padding bytes take chosen values: every pad byte
+  // 0..255 and a broken interior byte must be accepted or rejected the
+  // same way, with the same decrypted bytes left in the buffer.
+  Rng rng(107);
+  auto key = make_aes_key(rng.bytes(16));
+  Aes128 aes(key);
+  Bytes iv = rng.bytes(16);
+  Bytes ct = aes128_cbc_encrypt(key, iv, rng.bytes(70));  // 80 B, pad 10
+  const std::size_t last = ct.size() - 1;
+  for (int delta = 0; delta < 256; ++delta) {
+    for (std::size_t at : {last - 16, last - 16 - 5}) {
+      Bytes tampered = ct;
+      tampered[at] ^= static_cast<std::uint8_t>(delta);
+      expect_aes_agree([&] {
+        Bytes buf = tampered;
+        auto r = aes128_cbc_decrypt_inplace(aes, iv.data(), buf);
+        return std::make_tuple(r.ok(), r.ok() ? *r : 0, r.ok() ? "" : r.error(), buf);
+      }, "delta=" + std::to_string(delta) + " at=" + std::to_string(at));
+    }
+  }
+}
+
+TEST_F(ShaKernelDiff, RandomChunkingsStraddleBlockBoundaries) {
+  Rng rng(108);
+  for (int trial = 0; trial < 300; ++trial) {
+    Bytes data = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 4096)));
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = 0; at < data.size();) {
+      // Mostly short chunks that land inside a block, some spanning
+      // several blocks in one update.
+      std::size_t n = static_cast<std::size_t>(
+          rng.uniform(0, 8) == 0 ? rng.uniform(64, 400) : rng.uniform(1, 80));
+      at = std::min(data.size(), at + n);
+      cuts.push_back(at);
+    }
+    auto chunked = [&] {
+      Sha256 h;
+      std::size_t from = 0;
+      for (std::size_t to : cuts) {
+        h.update(ByteView(data.data() + from, to - from));
+        from = to;
+      }
+      return h.finish();
+    };
+    const std::string what = "trial=" + std::to_string(trial) +
+                             " len=" + std::to_string(data.size());
+    expect_sha_agree(chunked, what);
+    EXPECT_EQ(with_sha(CryptoKernel::Hardware, chunked),
+              with_sha(CryptoKernel::Portable, [&] { return Sha256::hash(data); }))
+        << what;
+  }
+}
+
+TEST_F(ShaKernelDiff, EveryLengthAroundThePaddingBoundary) {
+  Rng rng(109);
+  Bytes data = rng.bytes(320);
+  for (std::size_t len = 0; len <= data.size(); ++len)
+    expect_sha_agree([&] { return Sha256::hash(ByteView(data.data(), len)); },
+                     "len=" + std::to_string(len));
+}
+
+TEST_F(ShaKernelDiff, HmacAndDeriveKeyMatch) {
+  Rng rng(110);
+  for (int trial = 0; trial < 200; ++trial) {
+    Bytes key = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 200)));
+    Bytes data = rng.bytes(static_cast<std::size_t>(rng.uniform(0, 1500)));
+    std::size_t out_len = static_cast<std::size_t>(rng.uniform(1, 100));
+    expect_sha_agree([&] {
+      HmacKey hk(key);
+      auto mac = hk.mac(data);
+      return std::make_tuple(hmac_sha256(key, data),
+                             Bytes(mac.begin(), mac.end()),
+                             hk.verify(data, ByteView(mac.data(), mac.size())),
+                             derive_key(key, "label-" + std::to_string(trial), out_len));
+    }, "trial=" + std::to_string(trial));
+  }
+}
+
+// The process-wide selection is made on first use from the CPU and the
+// environment. These run in a re-executed child (threadsafe death-test
+// style), so the child's first crypto call sees the environment the
+// test sets rather than whatever this process already selected.
+TEST(CryptoDispatchDeathTest, ForceScalarSelectsPortableKernels) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        ::setenv("ENDBOX_FORCE_SCALAR", "1", 1);
+        bool portable = aes_kernel() == CryptoKernel::Portable &&
+                        sha256_kernel() == CryptoKernel::Portable;
+        std::_Exit(portable ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(CryptoDispatchDeathTest, HardwareSelectedWhenPresentAndNotForced) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(
+      {
+        ::unsetenv("ENDBOX_FORCE_SCALAR");
+        auto expect = [](bool hw) {
+          return hw ? CryptoKernel::Hardware : CryptoKernel::Portable;
+        };
+        bool ok = aes_kernel() == expect(common::hardware_has_aes_ni()) &&
+                  sha256_kernel() == expect(common::hardware_has_sha_ni());
+        std::_Exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(CryptoDispatch, SelectionFollowsTheEnvironmentAtStartup) {
+  // Run under ENDBOX_FORCE_SCALAR=1 (the forced-scalar CI leg) this
+  // checks the suite really exercised the portable kernels.
+  EXPECT_EQ(aes_kernel(), common::has_aes_ni() ? CryptoKernel::Hardware
+                                               : CryptoKernel::Portable);
+  EXPECT_EQ(sha256_kernel(), common::has_sha_ni() ? CryptoKernel::Hardware
+                                                  : CryptoKernel::Portable);
+}
+
+TEST(CryptoDispatch, PinningHardwareWithoutTheInstructionsIsRefused) {
+  const CryptoKernel aes = aes_kernel(), sha = sha256_kernel();
+  EXPECT_EQ(pin_aes_kernel(CryptoKernel::Hardware), common::hardware_has_aes_ni());
+  EXPECT_EQ(pin_sha256_kernel(CryptoKernel::Hardware), common::hardware_has_sha_ni());
+  EXPECT_TRUE(pin_aes_kernel(CryptoKernel::Portable));
+  EXPECT_EQ(aes_kernel(), CryptoKernel::Portable);
+  pin_aes_kernel(aes);
+  pin_sha256_kernel(sha);
 }
 
 // ---- toy RSA -------------------------------------------------------------

@@ -104,6 +104,12 @@ struct BodyParam {
   bool encrypted;
 };
 
+// Without this, gtest prints BodyParam as raw bytes, padding included, and
+// the discovered test names change from one build to the next.
+void PrintTo(const BodyParam& p, std::ostream* os) {
+  *os << p.payload << "B_" << (p.encrypted ? "encrypted" : "integrity");
+}
+
 class VpnBodySweep : public ::testing::TestWithParam<BodyParam> {};
 
 TEST_P(VpnBodySweep, SealOpenRoundTripAndTamperDetection) {
