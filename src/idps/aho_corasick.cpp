@@ -26,7 +26,8 @@ void AhoCorasick::add_pattern(ByteView pattern, int pattern_id) {
   nodes_[static_cast<std::size_t>(state)].outputs.push_back(index);
 }
 
-void AhoCorasick::build(bool prefilter_case_insensitive) {
+void AhoCorasick::build(bool prefilter_case_insensitive,
+                        std::size_t prefilter_max_width) {
   if (built_) return;
   // BFS order (root first): output links point at strictly shallower
   // states, so a single pass in this order can resolve the CSR output
@@ -111,7 +112,7 @@ void AhoCorasick::build(bool prefilter_case_insensitive) {
   // First tier: the literal prefilter, compiled from the same pattern
   // set. The retained pattern bytes exist only for this step.
   std::vector<ByteView> views(pattern_bytes_.begin(), pattern_bytes_.end());
-  prefilter_.build(views, prefilter_case_insensitive);
+  prefilter_.build(views, prefilter_case_insensitive, prefilter_max_width);
   pattern_bytes_.clear();
   pattern_bytes_.shrink_to_fit();
   built_ = true;

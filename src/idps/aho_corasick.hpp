@@ -37,8 +37,11 @@ class AhoCorasick {
   /// pattern set (pattern bytes are retained only until this point).
   /// `prefilter_case_insensitive` marks the pattern set as lower-cased
   /// nocase literals whose prefilter must admit both cases (it then
-  /// scans raw text; only confirm slices are lowered). Idempotent.
-  void build(bool prefilter_case_insensitive = false);
+  /// scans raw text; only confirm slices are lowered).
+  /// `prefilter_max_width` caps the fragment width, so two automatons
+  /// whose prefilters are scanned fused can share one. Idempotent.
+  void build(bool prefilter_case_insensitive = false,
+             std::size_t prefilter_max_width = 4);
 
   /// Finds all pattern occurrences in `text` (overlaps included).
   std::vector<AcMatch> match(ByteView text) const;

@@ -1,15 +1,14 @@
 #include "idps/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 namespace endbox::idps {
 
 namespace {
 void to_lower_into(ByteView data, Bytes& out) {
-  out.assign(data.begin(), data.end());
-  for (auto& b : out) b = static_cast<std::uint8_t>(std::tolower(b));
+  out.resize(data.size());
+  std::transform(data.begin(), data.end(), out.begin(), ascii_lower);
 }
 
 Bytes to_lower(ByteView data) {
@@ -22,12 +21,15 @@ Bytes to_lower(ByteView data) {
 IdpsEngine::IdpsEngine(std::vector<SnortRule> rules) : rules_(std::move(rules)) {
   if (rules_.size() > (1u << 23))
     throw std::invalid_argument("IdpsEngine: too many rules");
+  std::size_t width_cap = 4;  // shortest content, at most the widest fragment
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const auto& contents = rules_[r].contents;
     if (contents.size() > 255)
       throw std::invalid_argument("IdpsEngine: too many contents in rule");
     for (std::size_t c = 0; c < contents.size(); ++c) {
       int id = static_cast<int>(r << 8 | c);
+      if (!contents[c].bytes.empty())
+        width_cap = std::min(width_cap, contents[c].bytes.size());
       if (contents[c].nocase) {
         ci_automaton_.add_pattern(to_lower(contents[c].bytes), id);
       } else {
@@ -35,14 +37,15 @@ IdpsEngine::IdpsEngine(std::vector<SnortRule> rules) : rules_(std::move(rules)) 
       }
     }
   }
-  cs_automaton_.build();
-  // The nocase automaton's prefilter admits both cases of every
-  // fragment byte so tier 1 scans the raw text; only confirm slices
-  // pay for lowering.
-  ci_automaton_.build(/*prefilter_case_insensitive=*/true);
-  // One literal shorter than the fragment width anywhere in the rule
-  // set disables the prefilter for the whole engine: a 1-byte content
-  // has no fragment, and a bucket miss would silently skip it.
+  // Both prefilters share one fragment width so tier 1 screens both
+  // sets in one fused pass. The nocase prefilter admits both cases of
+  // every fragment byte and folds before its exact confirm, so tier 1
+  // scans the raw text; only confirm slices pay for lowering.
+  cs_automaton_.build(/*prefilter_case_insensitive=*/false, width_cap);
+  ci_automaton_.build(/*prefilter_case_insensitive=*/true, width_cap);
+  // A 1-byte content anywhere in the rule set disables the prefilter
+  // for the whole engine: it has no fragment, and a bucket miss would
+  // silently skip it.
   prefilter_enabled_ = cs_automaton_.prefilter().usable() &&
                        ci_automaton_.prefilter().usable();
   std::size_t max_len = std::max(cs_automaton_.max_pattern_length(),
@@ -85,17 +88,30 @@ void IdpsEngine::record_hit(InspectScratch& scratch, int pattern_id) {
 }
 
 IdpsVerdict IdpsEngine::evaluate_hits(const net::Packet& packet,
-                                      const InspectScratch& scratch,
-                                      bool any_hit) {
+                                      InspectScratch& scratch, bool any_hit,
+                                      StreamMatchState* state) {
   IdpsVerdict verdict;
+  // A rule can only fire (or newly complete) when this scan hit.
   if (!any_hit) return verdict;
-  const std::vector<std::uint64_t>& content_hits = scratch.content_hits;
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
+  // Only touched rules have content hits, so walking them in ascending
+  // rule-index order gives the same first-firing sid as a walk over
+  // every rule, without the O(rules) loop.
+  std::sort(scratch.touched.begin(), scratch.touched.end());
+  for (std::uint32_t r : scratch.touched) {
     const SnortRule& rule = rules_[r];
     if (rule.contents.empty()) continue;
     std::uint64_t want =
         rule.contents.size() >= 64 ? ~0ull : (1ull << rule.contents.size()) - 1;
-    if ((content_hits[r] & want) != want) continue;
+    if ((scratch.content_hits[r] & want) != want) continue;
+    if (state != nullptr) {
+      if (std::find(state->completed.begin(), state->completed.end(), r) !=
+          state->completed.end())
+        continue;
+      // Record completion even when the header check fails: header
+      // constraints are flow-constant, so the rule can never fire later
+      // in this flow and need not be re-evaluated per segment.
+      state->completed.push_back(r);
+    }
     if (!header_matches(rule, packet)) continue;
     if (!verdict.matched) {
       verdict.matched = true;
@@ -105,6 +121,9 @@ IdpsVerdict IdpsEngine::evaluate_hits(const net::Packet& packet,
     if (rule.action == RuleAction::Alert) ++alerts_;
   }
   if (verdict.drop) ++drops_;
+  // Flow-kill policy (state->drop_flow) belongs to the caller: the
+  // element also kills flows on DROP-mode alert matches, and owns the
+  // once-per-flow kill accounting.
   return verdict;
 }
 
@@ -138,23 +157,26 @@ IdpsVerdict IdpsEngine::inspect(const net::Packet& packet, ByteView payload,
   // witnesses whole, so no cross-run automaton state is needed). Rule
   // evaluation only consumes the hit set, so slice-relative offsets
   // need no rebasing here.
-  scratch.runs.clear();
-  cs_automaton_.prefilter().find_runs(payload, scratch.runs);
-  prefilter_stats_.confirmed_windows += scratch.runs.size();
+  screen(payload, scratch);
   for (const CandidateRun& run : scratch.runs)
     cs_automaton_.match(payload.subspan(run.begin, run.end - run.begin),
                         record);
-  if (ci_automaton_.pattern_count() > 0) {
-    scratch.runs.clear();
-    ci_automaton_.prefilter().find_runs(payload, scratch.runs);
-    prefilter_stats_.confirmed_windows += scratch.runs.size();
-    for (const CandidateRun& run : scratch.runs) {
-      to_lower_into(payload.subspan(run.begin, run.end - run.begin),
-                    scratch.lowered);
-      ci_automaton_.match(scratch.lowered, record);
-    }
+  for (const CandidateRun& run : scratch.ci_runs) {
+    to_lower_into(payload.subspan(run.begin, run.end - run.begin),
+                  scratch.lowered);
+    ci_automaton_.match(scratch.lowered, record);
   }
   return evaluate_hits(packet, scratch, ctx.any_hit);
+}
+
+void IdpsEngine::screen(ByteView text, InspectScratch& scratch) {
+  scratch.runs.clear();
+  scratch.ci_runs.clear();
+  LiteralPrefilter::find_runs(cs_automaton_.prefilter(),
+                              ci_automaton_.prefilter(), text, scratch.runs,
+                              scratch.ci_runs);
+  prefilter_stats_.confirmed_windows +=
+      scratch.runs.size() + scratch.ci_runs.size();
 }
 
 IdpsVerdict IdpsEngine::inspect_reference(const net::Packet& packet,
@@ -195,51 +217,42 @@ void IdpsEngine::inspect_batch(std::span<const net::Packet* const> packets,
   // Tier 1 screens each payload sequentially (the prefilter kernel is
   // data-parallel within one buffer, not latency-bound like the
   // automaton walk); the surviving candidate slices of the whole burst
-  // are then confirmed with one interleaved multi-stream walk, each
-  // slice attributed back to its packet.
-  struct RecordCtx {
-    BatchScratch* scratch;
-  } ctx{&scratch};
-  auto record = [&ctx](std::size_t stream, const AcMatch& m) {
-    ctx.scratch->matches[ctx.scratch->owner[stream]].push_back(m);
-    return true;
-  };
+  // are then confirmed with one interleaved multi-stream walk per
+  // automaton, each slice attributed back to its packet.
   scratch.views.clear();
   scratch.owner.clear();
+  scratch.ci_views.clear();
+  scratch.ci_owner.clear();
+  std::size_t lowered = 0;
   for (std::size_t i = 0; i < n; ++i) {
     prefilter_stats_.prefiltered_bytes += payloads[i].size();
-    scratch.rules.runs.clear();
-    cs_automaton_.prefilter().find_runs(payloads[i], scratch.rules.runs);
-    prefilter_stats_.confirmed_windows += scratch.rules.runs.size();
+    screen(payloads[i], scratch.rules);
     for (const CandidateRun& run : scratch.rules.runs) {
       scratch.views.push_back(
           payloads[i].subspan(run.begin, run.end - run.begin));
       scratch.owner.push_back(static_cast<std::uint32_t>(i));
     }
+    for (const CandidateRun& run : scratch.rules.ci_runs) {
+      if (scratch.lowered.size() <= lowered) scratch.lowered.resize(lowered + 1);
+      to_lower_into(payloads[i].subspan(run.begin, run.end - run.begin),
+                    scratch.lowered[lowered]);
+      scratch.ci_views.push_back(scratch.lowered[lowered++]);
+      scratch.ci_owner.push_back(static_cast<std::uint32_t>(i));
+    }
   }
+  struct RecordCtx {
+    BatchScratch* scratch;
+    const std::uint32_t* owner;
+  } ctx{&scratch, scratch.owner.data()};
+  auto record = [&ctx](std::size_t stream, const AcMatch& m) {
+    ctx.scratch->matches[ctx.owner[stream]].push_back(m);
+    return true;
+  };
   cs_automaton_.match_multi({scratch.views.data(), scratch.views.size()},
                             record);
-
-  if (ci_automaton_.pattern_count() > 0) {
-    scratch.views.clear();
-    scratch.owner.clear();
-    std::size_t slice = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.rules.runs.clear();
-      ci_automaton_.prefilter().find_runs(payloads[i], scratch.rules.runs);
-      prefilter_stats_.confirmed_windows += scratch.rules.runs.size();
-      for (const CandidateRun& run : scratch.rules.runs) {
-        if (scratch.lowered.size() <= slice) scratch.lowered.resize(slice + 1);
-        to_lower_into(payloads[i].subspan(run.begin, run.end - run.begin),
-                      scratch.lowered[slice]);
-        scratch.views.push_back(scratch.lowered[slice]);
-        scratch.owner.push_back(static_cast<std::uint32_t>(i));
-        ++slice;
-      }
-    }
-    ci_automaton_.match_multi({scratch.views.data(), scratch.views.size()},
-                              record);
-  }
+  ctx.owner = scratch.ci_owner.data();
+  ci_automaton_.match_multi({scratch.ci_views.data(), scratch.ci_views.size()},
+                            record);
 
   for (std::size_t i = 0; i < n; ++i) {
     reset_hits(scratch.rules);
@@ -306,44 +319,6 @@ void IdpsEngine::persist_stream_hits(StreamMatchState& state,
   }
 }
 
-IdpsVerdict IdpsEngine::evaluate_stream(const net::Packet& packet,
-                                        StreamMatchState& state,
-                                        InspectScratch& scratch, bool new_hit) {
-  IdpsVerdict verdict;
-  // A rule can only newly complete when this chunk produced a hit.
-  if (!new_hit) return verdict;
-  // Ascending rule-index order preserves the per-packet path's
-  // first-sid determinism (evaluate_hits walks all rules in order;
-  // untouched rules cannot match, so sorted-touched is equivalent).
-  std::sort(scratch.touched.begin(), scratch.touched.end());
-  for (std::uint32_t r : scratch.touched) {
-    const SnortRule& rule = rules_[r];
-    if (rule.contents.empty()) continue;
-    std::uint64_t want =
-        rule.contents.size() >= 64 ? ~0ull : (1ull << rule.contents.size()) - 1;
-    if ((scratch.content_hits[r] & want) != want) continue;
-    if (std::find(state.completed.begin(), state.completed.end(), r) !=
-        state.completed.end())
-      continue;
-    // Record completion even when the header check fails: header
-    // constraints are flow-constant, so the rule can never fire later
-    // in this flow and need not be re-evaluated per segment.
-    state.completed.push_back(r);
-    if (!header_matches(rule, packet)) continue;
-    if (!verdict.matched) {
-      verdict.matched = true;
-      verdict.sid = rule.sid;
-    }
-    if (rule.action == RuleAction::Drop) verdict.drop = true;
-    if (rule.action == RuleAction::Alert) ++alerts_;
-  }
-  if (verdict.drop) ++drops_;
-  // Flow-kill policy (state.drop_flow) belongs to the caller: the
-  // element also kills flows on DROP-mode alert matches, and owns the
-  // once-per-flow kill accounting.
-  return verdict;
-}
-
 IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk,
                                        StreamMatchState& state,
                                        InspectScratch& scratch,
@@ -353,7 +328,6 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
     return inspect_stream_reference(packet, chunk, state, scratch, mask);
   }
   ++packets_inspected_;
-  prefilter_stats_.prefiltered_bytes += chunk.size();
   reset_hits(scratch);
   load_stream_hits(state, scratch);
 
@@ -396,24 +370,18 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
     }
     return true;
   };
-  scratch.runs.clear();
-  cs_automaton_.prefilter().find_runs(combined, scratch.runs);
-  prefilter_stats_.confirmed_windows += scratch.runs.size();
+  prefilter_stats_.prefiltered_bytes += chunk.size();
+  screen(combined, scratch);
   for (const CandidateRun& run : scratch.runs) {
     ctx.bias = run.begin;
     cs_automaton_.match(combined.subspan(run.begin, run.end - run.begin),
                         record);
   }
-  if (ci_automaton_.pattern_count() > 0) {
-    scratch.runs.clear();
-    ci_automaton_.prefilter().find_runs(combined, scratch.runs);
-    prefilter_stats_.confirmed_windows += scratch.runs.size();
-    for (const CandidateRun& run : scratch.runs) {
-      ctx.bias = run.begin;
-      to_lower_into(combined.subspan(run.begin, run.end - run.begin),
-                    scratch.lowered);
-      ci_automaton_.match(scratch.lowered, record);
-    }
+  for (const CandidateRun& run : scratch.ci_runs) {
+    ctx.bias = run.begin;
+    to_lower_into(combined.subspan(run.begin, run.end - run.begin),
+                  scratch.lowered);
+    ci_automaton_.match(scratch.lowered, record);
   }
   state.bytes_scanned += chunk.size();
   std::size_t keep = std::min(scratch.combined.size(), stream_tail_len_);
@@ -421,7 +389,7 @@ IdpsVerdict IdpsEngine::inspect_stream(const net::Packet& packet, ByteView chunk
                                   static_cast<std::ptrdiff_t>(keep),
                               scratch.combined.end());
 
-  IdpsVerdict verdict = evaluate_stream(packet, state, scratch, ctx.new_hit);
+  IdpsVerdict verdict = evaluate_hits(packet, scratch, ctx.new_hit, &state);
   persist_stream_hits(state, scratch);
   return verdict;
 }
@@ -470,7 +438,7 @@ IdpsVerdict IdpsEngine::inspect_stream_reference(const net::Packet& packet,
   if (run_ci) ci_automaton_.match_resume(scratch.lowered, &state.ci_state, record);
   state.bytes_scanned += chunk.size();
 
-  IdpsVerdict verdict = evaluate_stream(packet, state, scratch, ctx.new_hit);
+  IdpsVerdict verdict = evaluate_hits(packet, scratch, ctx.new_hit, &state);
   persist_stream_hits(state, scratch);
   return verdict;
 }
@@ -593,8 +561,8 @@ void IdpsEngine::inspect_stream_batch_reference(
     load_stream_hits(st, scratch.rules);
     for (const AcMatch& m : scratch.matches[i])
       record_hit(scratch.rules, m.pattern_id);
-    verdicts[i] = evaluate_stream(*packets[i], st, scratch.rules,
-                                  !scratch.matches[i].empty());
+    verdicts[i] = evaluate_hits(*packets[i], scratch.rules,
+                                !scratch.matches[i].empty(), &st);
     persist_stream_hits(st, scratch.rules);
   }
 }

@@ -4,18 +4,23 @@
 // its content patterns occur in the payload. Drop rules mark the
 // packet; alert rules record an event.
 //
-// Scanning is two-tier: each automaton's Teddy-style literal
-// prefilter (built at AhoCorasick::build() time) reports candidate
-// windows — positions where some pattern's rarest fragment may start,
-// rewound by maxlen-W and extended by maxlen so any real match lies
-// wholly inside — and the flat automaton walks only those merged
-// slices from its root. Clean payloads (the common case) never enter
-// the automaton. The prefilter is sound (no false negatives), so
+// Scanning is two-tier. Tier 1 is one fused pass of the two
+// automatons' Teddy-style literal prefilters (built at
+// AhoCorasick::build() time with one shared fragment width) over the
+// raw payload: it finds where some pattern's rare W-byte fragment
+// occurs — nibble-table candidates confirmed exactly against the
+// stored fragments, case-folded for the nocase set — and widens each
+// occurrence into a window sized by the patterns owning that fragment.
+// Tier 2 walks each automaton only over its merged windows, from the
+// root; nocase windows are ASCII-lowered first. A payload with no
+// fragment occurrence (the common case on benign text) never enters
+// either automaton. The prefilter is sound (no false negatives), so
 // verdicts, offsets, MASK bytes and once-per-flow firing are
 // bit-identical to the full walk, which stays callable as the
 // inspect*_reference family. Rule sets containing a content literal
-// shorter than the fragment width (1-byte contents) disable the
-// prefilter engine-wide and every scan takes the full walk.
+// shorter than 2 bytes disable the prefilter engine-wide and every
+// scan takes the full walk. All case folding is ASCII-only
+// (ascii_lower), independent of the process locale.
 #pragma once
 
 #include <cstdint>
@@ -86,8 +91,9 @@ class IdpsEngine {
     std::vector<std::uint64_t> content_hits;
     std::vector<std::uint32_t> touched;  ///< rules with non-zero bits
     Bytes lowered;
-    std::vector<CandidateRun> runs;  ///< prefilter candidate windows
-    Bytes combined;                  ///< stream path: tail + chunk
+    std::vector<CandidateRun> runs;     ///< case-sensitive set's windows
+    std::vector<CandidateRun> ci_runs;  ///< nocase set's windows
+    Bytes combined;                     ///< stream path: tail + chunk
   };
 
   /// Working memory for inspect_batch: per-stream match lists and
@@ -97,6 +103,8 @@ class IdpsEngine {
     std::vector<Bytes> lowered;                 ///< per stream (nocase scan)
     std::vector<ByteView> views;                ///< span storage for lowered
     std::vector<std::uint32_t> owner;  ///< prefilter: slice -> packet index
+    std::vector<ByteView> ci_views;    ///< prefilter: lowered nocase slices
+    std::vector<std::uint32_t> ci_owner;  ///< nocase slice -> packet index
     InspectScratch rules;
     // inspect_stream_batch round scheduling (two chunks of one flow
     // must walk sequentially, not in the same interleave round).
@@ -149,7 +157,7 @@ class IdpsEngine {
   /// content occurrence is overwritten with 'X' (best effort — the
   /// part of a straddling match already forwarded in an earlier
   /// segment cannot be rewritten).
-  /// Two-tier stream path: the prefilter scans the flow's carried tail
+  /// Two-tier stream path: tier 1 screens the flow's carried tail
   /// (last maxlen-1 stream bytes) + chunk so boundary-straddling
   /// literals are caught without resuming automaton state; matches
   /// ending inside the tail were reported by an earlier chunk and are
@@ -203,6 +211,12 @@ class IdpsEngine {
   const PrefilterStats& prefilter_stats() const { return prefilter_stats_; }
   const AhoCorasick& cs_automaton() const { return cs_automaton_; }
   const AhoCorasick& ci_automaton() const { return ci_automaton_; }
+  /// Pins both prefilters' scan kernel (tests/benches); the caller must
+  /// not force a level the hardware lacks.
+  void force_prefilter_kernel(LiteralPrefilter::Kernel kernel) {
+    cs_automaton_.prefilter().force_kernel(kernel);
+    ci_automaton_.prefilter().force_kernel(kernel);
+  }
 
  private:
   bool header_matches(const SnortRule& rule, const net::Packet& packet) const;
@@ -210,16 +224,16 @@ class IdpsEngine {
   void reset_hits(InspectScratch& scratch) const;
   /// Sets the content bit for one pattern hit (tracks touched rules).
   static void record_hit(InspectScratch& scratch, int pattern_id);
-  /// First-match rule evaluation over a populated hit table; tallies
-  /// alert/drop statistics.
-  IdpsVerdict evaluate_hits(const net::Packet& packet,
-                            const InspectScratch& scratch, bool any_hit);
-  /// Stream variant: evaluates only the touched rules (sorted to keep
-  /// the per-packet path's first-sid rule-index order), fires each rule
-  /// at most once per flow, and records completions in `state`.
-  IdpsVerdict evaluate_stream(const net::Packet& packet,
-                              StreamMatchState& state, InspectScratch& scratch,
-                              bool new_hit);
+  /// First-match rule evaluation over a populated hit table (a no-op
+  /// unless `any_hit`): walks only the touched rules, sorted so the
+  /// first firing sid is the one a walk over all rules would find;
+  /// tallies alert/drop statistics. With a stream `state`, each rule
+  /// fires at most once per flow and completions are recorded there.
+  IdpsVerdict evaluate_hits(const net::Packet& packet, InspectScratch& scratch,
+                            bool any_hit, StreamMatchState* state = nullptr);
+  /// Tier 1: one fused prefilter pass over `text` fills scratch.runs
+  /// (case-sensitive set) and scratch.ci_runs (nocase set).
+  void screen(ByteView text, InspectScratch& scratch);
   /// Seeds the sparse hit table from the flow's persisted hits (call
   /// right after reset_hits).
   void load_stream_hits(const StreamMatchState& state,

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <clocale>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -542,6 +543,345 @@ TEST(PrefilterEngine, StreamStraddleAcrossTinyChunksIsCaught) {
   EXPECT_TRUE(matched);
   EXPECT_EQ(state.cross_segment_matches, 1u);
   EXPECT_EQ(engine.drops(), 1u);
+}
+
+// ---- Text traffic ---------------------------------------------------------
+//
+// The random-byte suites above rarely exercise what real traffic does to
+// the filter: text is full of the letters, digits and HTTP punctuation
+// that community contents are made of, so nibble candidates are frequent
+// and only the exact fragment confirm keeps tier 2 idle. These suites
+// scan HTTP-shaped text.
+
+/// Benign HTTP request/response text: a request or status line, a few
+/// headers, then English prose with the odd number.
+Bytes http_text(Rng& rng, std::size_t length) {
+  static const char* kWords[] = {
+      "the",    "of",       "and",      "to",     "in",      "is",
+      "that",   "for",      "it",       "as",     "was",     "with",
+      "be",     "by",       "on",       "not",    "this",    "are",
+      "which",  "from",     "or",       "have",   "an",      "they",
+      "more",   "time",     "people",   "year",   "way",     "day",
+      "report", "network",  "service",  "office", "quality", "between",
+      "public", "document", "security", "update", "account", "server"};
+  static const char* kHeads[] = {
+      "GET /index.html HTTP/1.1\r\nHost: www.example.org\r\n"
+      "User-Agent: Mozilla/5.0 (X11; Linux x86_64)\r\nAccept: text/html\r\n"
+      "Accept-Language: en-US,en;q=0.5\r\nConnection: keep-alive\r\n\r\n",
+      "POST /api/v1/orders?page=2 HTTP/1.1\r\nHost: shop.example.com\r\n"
+      "Content-Type: application/x-www-form-urlencoded\r\n"
+      "Content-Length: 512\r\n\r\n",
+      "HTTP/1.1 200 OK\r\nDate: Mon, 12 Oct 2026 10:20:30 GMT\r\n"
+      "Content-Type: text/html; charset=utf-8\r\nCache-Control: max-age=600"
+      "\r\n\r\n<html><head><title>Report</title></head><body><p>"};
+  std::string text = kHeads[rng.uniform(0, std::size(kHeads) - 1)];
+  while (text.size() < length) {
+    text += kWords[rng.uniform(0, std::size(kWords) - 1)];
+    if (rng.uniform(0, 9) == 0) text += std::to_string(rng.uniform(0, 2026));
+    text += rng.uniform(0, 11) == 0 ? ". " : " ";
+  }
+  text.resize(length);
+  return to_bytes(text);
+}
+
+/// `content` with each ASCII letter's case flipped at random (how a
+/// nocase content may arrive on the wire).
+Bytes mixed_case(const Bytes& content, Rng& rng) {
+  Bytes out = content;
+  for (auto& b : out)
+    if (((b | 0x20) >= 'a' && (b | 0x20) <= 'z') && rng.uniform(0, 1) == 1)
+      b ^= 0x20;
+  return out;
+}
+
+/// Checks every prefiltered path against its full-walk oracle on one
+/// payload: inspect, a one-packet inspect_batch, and a single-chunk
+/// inspect_stream on a fresh flow. Returns the inspect verdict.
+IdpsVerdict expect_all_paths_match_oracle(IdpsEngine& engine,
+                                          IdpsEngine& oracle, ByteView payload,
+                                          const std::string& where) {
+  IdpsEngine::InspectScratch scratch, ref_scratch;
+  IdpsEngine::BatchScratch batch, ref_batch;
+  Packet probe = probe_packet();
+  IdpsVerdict verdict = engine.inspect(probe, payload, scratch);
+  expect_verdict_eq(verdict,
+                    oracle.inspect_reference(probe, payload, ref_scratch),
+                    where + " inspect");
+  const Packet* packets[] = {&probe};
+  IdpsVerdict got, want;
+  engine.inspect_batch(packets, {&payload, 1}, batch, &got);
+  oracle.inspect_batch_reference(packets, {&payload, 1}, ref_batch, &want);
+  expect_verdict_eq(got, want, where + " batch");
+  StreamMatchState state, ref_state;
+  expect_verdict_eq(
+      engine.inspect_stream(probe, payload, state, scratch),
+      oracle.inspect_stream_reference(probe, payload, ref_state, ref_scratch),
+      where + " stream");
+  return verdict;
+}
+
+TEST(LiteralPrefilter, AsciiFoldLeavesHighBytesAlone) {
+  for (unsigned b = 0; b < 256; ++b) {
+    std::uint8_t want = b >= 'A' && b <= 'Z' ? static_cast<std::uint8_t>(b + 32)
+                                             : static_cast<std::uint8_t>(b);
+    EXPECT_EQ(ascii_lower(static_cast<std::uint8_t>(b)), want) << b;
+  }
+}
+
+TEST(PrefilterEngine, HighBytesFoldToThemselvesOnEveryPath) {
+  // A nocase content with bytes >= 0x80 matches only those exact bytes
+  // (only ASCII letters fold), on the prefiltered paths and the oracle
+  // alike. An 8-bit locale, where std::tolower maps 0xC0 to 0xE0, is
+  // switched on when the system has one, so a fold that consults the
+  // locale would make the two disagree.
+  struct ScopedLatin1Ctype {
+    ScopedLatin1Ctype() : previous(std::setlocale(LC_CTYPE, nullptr)) {
+      for (const char* name : {"en_US.ISO-8859-1", "de_DE.ISO-8859-1",
+                               "fr_FR.ISO-8859-1", "en_US.iso88591"})
+        if (std::setlocale(LC_CTYPE, name) != nullptr) break;
+    }
+    ~ScopedLatin1Ctype() { std::setlocale(LC_CTYPE, previous.c_str()); }
+    std::string previous;
+  } latin1;
+
+  auto rules = parse_snort_ruleset(
+      "alert ip any any -> any any (content:\"|C0 C9|evil\"; nocase; sid:1;)\n"
+      "alert ip any any -> any any (content:\"|E0 E9|bad\"; nocase; sid:2;)\n");
+  ASSERT_TRUE(rules.ok());
+  IdpsEngine engine(*rules);
+  IdpsEngine oracle(*rules);
+  ASSERT_TRUE(engine.prefilter_enabled());
+  for (auto kernel : available_kernels()) {
+    engine.force_prefilter_kernel(kernel);
+    std::string k = common::simd_level_name(kernel);
+    struct Case {
+      const char* payload;
+      bool matched;
+    } cases[] = {{"xx \xC0\xC9" "EvIl yy", true},
+                 {"xx \xE0\xE9" "evil yy", false},
+                 {"xx \xE0\xE9" "BAD yy", true},
+                 {"xx \xC0\xC9" "bad yy", false}};
+    for (const Case& c : cases) {
+      Bytes payload = to_bytes(c.payload);
+      EXPECT_EQ(
+          expect_all_paths_match_oracle(engine, oracle, payload, k).matched,
+          c.matched)
+          << k << " " << c.payload;
+    }
+  }
+}
+
+TEST(PrefilterEngine, HttpTextPlantsAcrossBlockSeamsMatchOracle) {
+  // Community contents planted into HTTP text at every offset across
+  // the 16- and 32-byte block seams and through the SIMD -> scalar
+  // tail, nocase contents in random mixed case, on every kernel.
+  Rng rng(101);
+  auto rules = generate_community_ruleset(377, rng);
+  IdpsEngine engine(rules);
+  IdpsEngine oracle(rules);
+  ASSERT_TRUE(engine.prefilter_enabled());
+  // One case-sensitive and one nocase single-content rule whose header
+  // admits the UDP probe, so each plant must fire.
+  const SnortRule* cs_rule = nullptr;
+  const SnortRule* ci_rule = nullptr;
+  for (const SnortRule& r : rules) {
+    if (r.contents.size() != 1 || r.proto == net::IpProto::Tcp ||
+        !r.dst_port.any)
+      continue;
+    if (r.contents[0].nocase && ci_rule == nullptr) ci_rule = &r;
+    if (!r.contents[0].nocase && cs_rule == nullptr) cs_rule = &r;
+  }
+  ASSERT_NE(cs_rule, nullptr);
+  ASSERT_NE(ci_rule, nullptr);
+
+  for (auto kernel : available_kernels()) {
+    engine.force_prefilter_kernel(kernel);
+    std::string k = common::simd_level_name(kernel);
+    for (std::size_t length : {std::size_t{70}, std::size_t{131}}) {
+      for (const SnortRule* rule : {cs_rule, ci_rule}) {
+        const ContentPattern& content = rule->contents[0];
+        for (std::size_t at = 0; at + content.bytes.size() <= length; ++at) {
+          Bytes payload = http_text(rng, length);
+          Bytes planted =
+              content.nocase ? mixed_case(content.bytes, rng) : content.bytes;
+          std::copy(planted.begin(), planted.end(),
+                    payload.begin() + static_cast<std::ptrdiff_t>(at));
+          std::string where = k + " sid " + std::to_string(rule->sid) +
+                              " len " + std::to_string(length) + " at " +
+                              std::to_string(at);
+          EXPECT_TRUE(
+              expect_all_paths_match_oracle(engine, oracle, payload, where)
+                  .matched)
+              << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(engine.alerts(), oracle.alerts());
+  EXPECT_EQ(engine.drops(), oracle.drops());
+}
+
+TEST(PrefilterEngine, FragmentWidthsTwoToFourMatchOracle) {
+  // Rule sets whose shortest content pins W to 2, 3 and 4, planted
+  // into HTTP text and delivered in random chunks, on every kernel. At
+  // W = 2 every "_%" pattern's fragment is that rare pair, owned by
+  // case-sensitive and nocase patterns alike: one stored fragment per
+  // set whose window must cover every owner.
+  const char* kLongContents =
+      "alert ip any any -> any any (content:\"ab_%cd\"; sid:10;)\n"
+      "alert ip any any -> any any (content:\"_%xyz\"; sid:11;)\n"
+      "drop ip any any -> any any (content:\"qq_%\"; nocase; sid:12;)\n"
+      "alert ip any any -> any any (content:\"Zed_%Report\"; nocase; sid:13;)\n"
+      "alert ip any any -> any any (content:\"the report\"; sid:14;)\n";
+  const char* kShort[] = {"_%", "_%q", "_%qz"};
+  Rng rng(103);
+  for (std::size_t w = 2; w <= 4; ++w) {
+    std::string text = kLongContents;
+    text += "alert ip any any -> any any (content:\"";
+    text += kShort[w - 2];
+    text += "\"; nocase; sid:15;)\n";
+    auto rules = parse_snort_ruleset(text);
+    ASSERT_TRUE(rules.ok());
+    IdpsEngine engine(*rules);
+    IdpsEngine oracle(*rules);
+    ASSERT_TRUE(engine.prefilter_enabled());
+    ASSERT_EQ(engine.cs_automaton().prefilter().fragment_width(), w);
+    ASSERT_EQ(engine.ci_automaton().prefilter().fragment_width(), w);
+    if (w == 2) {
+      EXPECT_EQ(engine.cs_automaton().prefilter().fragment_count(), 2u);
+      EXPECT_EQ(engine.ci_automaton().prefilter().fragment_count(), 1u);
+    }
+    for (auto kernel : available_kernels()) {
+      engine.force_prefilter_kernel(kernel);
+      std::string where =
+          "W=" + std::to_string(w) + " " + common::simd_level_name(kernel);
+      for (int round = 0; round < 40; ++round) {
+        Bytes payload = http_text(rng, 40 + rng.uniform(0, 200));
+        for (int p = 0; p < 3; ++p) {
+          const SnortRule& rule = (*rules)[rng.uniform(0, rules->size() - 1)];
+          Bytes planted = mixed_case(rule.contents[0].bytes, rng);
+          if (!rule.contents[0].nocase) planted = rule.contents[0].bytes;
+          std::size_t at = rng.uniform(0, payload.size() - planted.size());
+          std::copy(planted.begin(), planted.end(),
+                    payload.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+        expect_all_paths_match_oracle(engine, oracle, payload,
+                                      where + " round " + std::to_string(round));
+        // Chunked delivery, prefiltered stream vs the resumable oracle.
+        IdpsEngine::InspectScratch scratch, ref_scratch;
+        StreamMatchState state, ref_state;
+        for (std::size_t pos = 0; pos < payload.size();) {
+          std::size_t len = std::min<std::size_t>(payload.size() - pos,
+                                                  1 + rng.uniform(0, 20));
+          ByteView chunk(payload.data() + pos, len);
+          expect_verdict_eq(
+              engine.inspect_stream(probe_packet(), chunk, state, scratch),
+              oracle.inspect_stream_reference(probe_packet(), chunk, ref_state,
+                                              ref_scratch),
+              where + " chunk at " + std::to_string(pos));
+          pos += len;
+        }
+        EXPECT_EQ(state.cross_segment_matches, ref_state.cross_segment_matches)
+            << where;
+      }
+    }
+    EXPECT_EQ(engine.alerts(), oracle.alerts());
+    EXPECT_EQ(engine.drops(), oracle.drops());
+  }
+}
+
+TEST(PrefilterEngine, BatchOnHttpTextMatchesOracleOnEveryKernel) {
+  Rng rng(107);
+  auto rules = generate_community_ruleset(200, rng);
+  IdpsEngine engine(rules);
+  IdpsEngine oracle(rules);
+  Packet probe = probe_packet();
+  for (auto kernel : available_kernels()) {
+    engine.force_prefilter_kernel(kernel);
+    IdpsEngine::BatchScratch batch, ref_batch;
+    for (int round = 0; round < 10; ++round) {
+      std::size_t n = 1 + rng.uniform(0, 31);
+      std::vector<Bytes> storage(n);
+      std::vector<ByteView> payloads(n);
+      std::vector<const Packet*> packets(n, &probe);
+      for (std::size_t i = 0; i < n; ++i) {
+        storage[i] = http_text(rng, 64 + rng.uniform(0, 1400));
+        if (i % 3 == 0) plant_rules(rules, storage[i], rng);
+        payloads[i] = storage[i];
+      }
+      std::vector<IdpsVerdict> got(n), want(n);
+      engine.inspect_batch({packets.data(), n}, {payloads.data(), n}, batch,
+                           got.data());
+      oracle.inspect_batch_reference({packets.data(), n}, {payloads.data(), n},
+                                     ref_batch, want.data());
+      for (std::size_t i = 0; i < n; ++i)
+        expect_verdict_eq(got[i], want[i],
+                          std::string(common::simd_level_name(kernel)) +
+                              " round " + std::to_string(round) + " packet " +
+                              std::to_string(i));
+    }
+  }
+  EXPECT_EQ(engine.alerts(), oracle.alerts());
+  EXPECT_EQ(engine.drops(), oracle.drops());
+}
+
+TEST(LiteralPrefilter, RunsComeOnlyFromTrueFragmentOccurrences) {
+  // On text, every nibble candidate is confirmed against the stored
+  // fragments: the reported count equals a brute-force count of the
+  // positions whose W bytes are a fragment, every run holds one, and
+  // the fused pass equals the two single-set passes.
+  Rng rng(109);
+  auto rules = generate_community_ruleset(377, rng);
+  IdpsEngine engine(rules);
+  const LiteralPrefilter& cs = engine.cs_automaton().prefilter();
+  const LiteralPrefilter& ci = engine.ci_automaton().prefilter();
+  ASSERT_EQ(cs.fragment_width(), ci.fragment_width());
+  const std::size_t w = cs.fragment_width();
+  for (int round = 0; round < 60; ++round) {
+    Bytes text = http_text(rng, 64 + rng.uniform(0, 1500));
+    // Every other round also carries stored fragments, raw and (for
+    // the nocase set) upper-cased.
+    if (round % 2 == 1) plant_rules(rules, text, rng);
+    std::size_t cs_occurrences = 0, ci_occurrences = 0;
+    for (std::size_t p = 0; p + w <= text.size(); ++p) {
+      cs_occurrences += cs.is_fragment({text.data() + p, w});
+      ci_occurrences += ci.is_fragment({text.data() + p, w});
+    }
+    // Fragments are chosen rare in text: benign text holds none.
+    if (round % 2 == 0 && cs_occurrences + ci_occurrences != 0) {
+      for (std::size_t p = 0; p + w <= text.size(); ++p)
+        if (cs.is_fragment({text.data() + p, w}) ||
+            ci.is_fragment({text.data() + p, w}))
+          ADD_FAILURE() << "fragment \""
+                        << std::string(text.begin() + static_cast<std::ptrdiff_t>(p),
+                                       text.begin() + static_cast<std::ptrdiff_t>(p + w))
+                        << "\" in benign round " << round;
+    }
+    for (auto kernel : available_kernels()) {
+      LiteralPrefilter cs_pinned = cs, ci_pinned = ci;
+      cs_pinned.force_kernel(kernel);
+      ci_pinned.force_kernel(kernel);
+      std::vector<CandidateRun> cs_runs, ci_runs, fused_cs, fused_ci;
+      EXPECT_EQ(cs_pinned.find_runs(text, cs_runs), cs_occurrences);
+      EXPECT_EQ(ci_pinned.find_runs(text, ci_runs), ci_occurrences);
+      EXPECT_EQ(LiteralPrefilter::find_runs(cs_pinned, ci_pinned, text,
+                                            fused_cs, fused_ci),
+                cs_occurrences + ci_occurrences);
+      EXPECT_EQ(fused_cs, cs_runs) << common::simd_level_name(kernel);
+      EXPECT_EQ(fused_ci, ci_runs) << common::simd_level_name(kernel);
+      for (const auto& [filter, runs] :
+           {std::pair{&cs_pinned, &cs_runs}, std::pair{&ci_pinned, &ci_runs}}) {
+        for (const CandidateRun& run : *runs) {
+          bool holds_fragment = false;
+          for (std::size_t p = run.begin; p + w <= run.end; ++p)
+            holds_fragment |= filter->is_fragment({text.data() + p, w});
+          EXPECT_TRUE(holds_fragment)
+              << "round " << round << " run [" << run.begin << "," << run.end
+              << ") " << common::simd_level_name(kernel);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
