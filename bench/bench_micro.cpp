@@ -14,9 +14,8 @@
 // the PR-6 timer-wheel session-table churn against a periodic
 // full-scan map, and the PR-7 robustness layer (control-plane connect
 // cycle vs the raw handshake, LRU-eviction admission churn vs manual
-// recycle), and the PR-8 run-to-completion lane pipeline (per-lane
-// open+seal critical path at 1/2/4/8 lanes against the staged path,
-// SPSC-ring hand-off against a mutex-protected deque), and the
+// recycle), and the run-to-completion lanes (per-lane open+seal
+// critical path at 1/2/4/8 lanes against the 1-lane burst), and the
 // hardware crypto kernels (AES-NI CBC, SHA-NI HMAC) against the
 // portable T-table / scalar kernels they dispatch around.
 // Running with `--json [path]` skips google-benchmark and instead
@@ -32,21 +31,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <iterator>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "ca/authority.hpp"
 #include "click/packet_batch.hpp"
-#include "click/spsc_ring.hpp"
 #include "common/hash.hpp"
 #include "common/lifecycle_table.hpp"
 #include "click/router.hpp"
@@ -247,108 +241,16 @@ struct ShardedChainBench {
 // The session-sharded VPN server driven the way the uplink drives it:
 // a 64-frame train spanning 16 sessions (4 frames each) opened with
 // open_batch, then the 64 reassembled packets sealed back downlink
-// with seal_jobs. PR-4's methodology applies: run_shard(s) runs shard
-// s's slice of both halves inline on the calling thread, each shard is
-// timed serially, and the burst is costed at the slowest shard — the
-// completion time when every shard worker owns a core (wall-clock
-// parallel timing on a 1-2 core CI box would measure the scheduler).
-// reset_replay_windows() makes the identical pre-sealed train fresh
-// every iteration, so the open side times real MAC+decrypt work
-// instead of replay rejections.
-struct ServerShardBench {
-  static constexpr std::size_t kSessions = 16;
-  static constexpr std::size_t kFramesPerSession = 4;
-  static constexpr std::size_t kBurst = kSessions * kFramesPerSession;  // 64
-
-  Rng pki_rng{0x5eed5a};
-  sim::Clock clock;
-  sgx::AttestationService ias{pki_rng};
-  ca::CertificateAuthority authority{pki_rng, ias};
-  sgx::SgxPlatform platform{"bench-client", pki_rng, clock};
-  sgx::Enclave enclave{platform, "endbox-v1", sgx::SgxMode::Hardware};
-  crypto::RsaKeyPair enclave_key = crypto::rsa_generate(pki_rng);
-  ca::Certificate certificate;
-
-  Rng server_rng{0xbe9c5};
-  vpn::VpnServer server;
-  std::vector<std::unique_ptr<Rng>> client_rngs;
-  std::vector<vpn::VpnClientSession> clients;
-  Bytes payload;
-  std::vector<Bytes> burst;  ///< pre-sealed uplink train
-  std::vector<vpn::VpnServer::SealJob> jobs;
-  std::vector<Bytes> seal_frames;
-  vpn::VpnServer::OpenBatch out;
-
-  explicit ServerShardBench(std::size_t shards, std::size_t payload_bytes = 1500)
-      : server(server_rng, authority.public_key(), [&] {
-          vpn::VpnServerConfig config;
-          config.session_shards = shards;
-          return config;
-        }()) {
-    ias.register_platform("bench-client", platform.attestation_key().pub);
-    authority.allow_measurement(enclave.measurement());
-    sgx::QuotingEnclave qe(platform);
-    auto quote = qe.quote(enclave.create_report(
-        sgx::bind_report_data(enclave_key.pub.serialize())));
-    auto response = authority.provision(quote->serialize(), enclave_key.pub);
-    if (!response.ok()) std::abort();
-    certificate = response->certificate;
-
-    Rng data_rng(9);
-    payload = data_rng.bytes(payload_bytes);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      client_rngs.push_back(std::make_unique<Rng>(0x2000 + i));
-      clients.emplace_back(*client_rngs.back(), certificate, enclave_key,
-                           server.public_key(), vpn::VpnClientConfig{});
-      auto init = clients.back().create_handshake_init();
-      auto event = server.handle(init.serialize(), 0);
-      if (!event.ok()) std::abort();
-      auto reply = vpn::WireMessage::parse(
-          std::get<vpn::VpnServer::HandshakeDone>(*event).reply_wire);
-      if (!clients.back().process_handshake_reply(*reply).ok()) std::abort();
-    }
-    for (std::size_t f = 0; f < kFramesPerSession; ++f)
-      for (std::size_t i = 0; i < kSessions; ++i)
-        clients[i].seal_packet_wire_at(payload, burst, burst.size());
-    for (std::size_t k = 0; k < kBurst; ++k)
-      jobs.push_back({clients[k % kSessions].session_id(), payload});
-  }
-
-  bool shard_has_work(std::size_t s) const {
-    for (const auto& client : clients)
-      if (server.shard_of_session(client.session_id()) == s) return true;
-    return false;
-  }
-
-  /// Shard s's slice of the open+seal burst, inline on the caller.
-  void run_shard(std::size_t s) {
-    server.reset_replay_windows();
-    server.open_batch_shard(s, burst, 0, out);
-    server.seal_jobs_shard(s, jobs, seal_frames);
-  }
-
-  /// The full staged path (as the server runs it in production).
-  void run_full() {
-    server.reset_replay_windows();
-    server.open_batch(burst, 0, out);
-    server.seal_jobs(jobs, seal_frames);
-  }
-
-  /// The pre-sharding single-threaded loop kept callable in-tree.
-  void run_reference() {
-    server.reset_replay_windows();
-    server.open_batch_reference(burst, 0, out);
-    std::size_t at = 0;
-    for (const auto& job : jobs)
-      at = server.seal_packet_wire_at(job.session_id, job.ip_packet,
-                                      seal_frames, at);
-  }
-};
-
-// PR-8: the run-to-completion lane pipeline. Session ids are assigned
-// sequentially by the server, so an arbitrary 16-session population
-// can land lopsided across 8 lanes and the critical path would measure
-// the skew, not the pipeline. The fixture therefore handshakes
+// with seal_jobs. run_lane(l) runs lane l's slice of both halves inline
+// on the calling thread, each lane is timed serially, and the burst is
+// costed at the slowest lane — the completion time when every lane
+// owns a core (wall-clock parallel timing on a 1-2 core CI box would
+// measure the scheduler). reset_replay_windows() makes the identical
+// pre-sealed train fresh every iteration, so the open side times real
+// MAC+decrypt work instead of replay rejections. Session ids are
+// assigned sequentially by the server, so an arbitrary 16-session
+// population can land lopsided across 8 lanes and the critical path
+// would measure the skew, not the lanes. The fixture therefore handshakes
 // candidate sessions until it holds exactly two per splitmix64 residue
 // class mod 8 (closing the rest), which is balanced at 8 lanes and —
 // because x % 4 == (x % 8) % 4 — at 4, 2 and 1 as well: every
@@ -447,62 +349,14 @@ struct LaneChainBench {
     server.seal_jobs(jobs, seal_frames);
   }
 
-  /// The stage-and-merge reference path kept callable in-tree.
-  void run_staged() {
+  /// The pre-sharding single-threaded loop kept callable in-tree.
+  void run_reference() {
     server.reset_replay_windows();
-    server.open_batch_staged(burst, 0, out);
-    server.seal_jobs(jobs, seal_frames);
-  }
-};
-
-// PR-8: the lane hand-off primitive itself. One op is a full round
-// trip — a token crosses a caller→lane ring and a lane→caller ring —
-// with one thread playing both ends, so the row times the primitive's
-// four ring operations (two release-publishes, two acquire-consumes)
-// deterministically instead of the scheduler's cross-core latency (a
-// two-thread spin ping-pong on a preempting 1-2 core CI box measures
-// time slices, not the ring; the two-thread path is exercised under
-// TSan in lane_test). The reference swaps the rings for the
-// mutex-protected deques the lanes would otherwise hand off through.
-struct SpscPingPongBench {
-  click::SpscRing<std::uint64_t> to_lane{64};
-  click::SpscRing<std::uint64_t> from_lane{64};
-
-  void round_trip() {
-    std::uint64_t token = 1;
-    to_lane.try_push(std::move(token));  // never full: one in flight
-    to_lane.try_pop(token);              // the lane's end
-    from_lane.try_push(std::move(token));
-    from_lane.try_pop(token);  // the caller's end
-    benchmark::DoNotOptimize(token);
-  }
-};
-
-struct MutexPingPongBench {
-  std::mutex to_mu, from_mu;
-  std::deque<std::uint64_t> to_lane, from_lane;
-
-  void round_trip() {
-    {
-      std::lock_guard<std::mutex> lock(to_mu);
-      to_lane.push_back(1);
-    }
-    std::uint64_t token;
-    {
-      std::lock_guard<std::mutex> lock(to_mu);
-      token = to_lane.front();
-      to_lane.pop_front();
-    }
-    {
-      std::lock_guard<std::mutex> lock(from_mu);
-      from_lane.push_back(token);
-    }
-    {
-      std::lock_guard<std::mutex> lock(from_mu);
-      token = from_lane.front();
-      from_lane.pop_front();
-    }
-    benchmark::DoNotOptimize(token);
+    server.open_batch_reference(burst, 0, out);
+    std::size_t at = 0;
+    for (const auto& job : jobs)
+      at = server.seal_packet_wire_at(job.session_id, job.ip_packet,
+                                      seal_frames, at);
   }
 };
 
@@ -699,17 +553,17 @@ static void BM_VpnSealOpenReference(benchmark::State& state) {
 }
 BENCHMARK(BM_VpnSealOpenReference);
 
-// Arg: session-shard count. Runs the production staged path (worker
-// pool and all); the --json mode instead times shards serially and
+// Arg: session-lane count. Runs the production lane path (worker
+// pool and all); the --json mode instead times lanes serially and
 // reports the critical path, which is what CI gates on.
 static void BM_ServerShardOpenSeal(benchmark::State& state) {
-  ServerShardBench bench(static_cast<std::size_t>(state.range(0)));
+  LaneChainBench bench(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     bench.run_full();
     benchmark::DoNotOptimize(bench.out.complete);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ServerShardBench::kBurst));
+                          static_cast<std::int64_t>(LaneChainBench::kBurst));
 }
 BENCHMARK(BM_ServerShardOpenSeal)->Arg(1)->Arg(2)->Arg(4);
 
@@ -1242,29 +1096,6 @@ int run_json_mode(const std::string& path) {
       [&] { one_shard.run_shard(0, shard_payload); },
       [&] { plain_chain.run_batch(shard_payload, kShardBurst); });
 
-  // PR-5: the session-sharded VPN server. Each shard's slice of the
-  // 64-frame open+seal burst is timed serially; the burst is costed at
-  // the slowest shard (one core per shard worker). The 1-shard row
-  // compares the staged path, end to end, against the pre-sharding
-  // single-threaded loop kept callable in-tree.
-  auto server_burst_ns = [&](std::size_t shards) {
-    ServerShardBench bench(shards);
-    double critical = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (!bench.shard_has_work(s)) continue;
-      double ns = time_ns_per_op([&] { bench.run_shard(s); });
-      critical = std::max(critical, ns);
-    }
-    return critical;
-  };
-  constexpr double kServerBurst = static_cast<double>(ServerShardBench::kBurst);
-  double server1 = server_burst_ns(1);
-  double server2 = server_burst_ns(2);
-  double server4 = server_burst_ns(4);
-  ServerShardBench staged_server(1), prepr_server(1);
-  auto [server_staged_ns, server_prepr_ns] = time_pair_ns_per_op(
-      [&] { staged_server.run_full(); }, [&] { prepr_server.run_reference(); });
-
   // PR-6: session-table churn at steady state — timer-wheel lifecycle
   // table vs the periodic full-scan map, interleaved per population.
   auto churn_pair = [&](std::uint64_t population, double& ns_wheel,
@@ -1291,13 +1122,12 @@ int run_json_mode(const std::string& path) {
   auto [lru_ns, manual_ns] = time_pair_ns_per_op(
       [&] { lru_churn.step_lru(); }, [&] { lru_churn.step_manual(); });
 
-  // PR-8: the run-to-completion lane pipeline. Each lane's slice of
-  // the balanced 64-frame open+seal burst — serial dispatch included —
-  // is timed inline; the burst is costed at the slowest lane (one core
-  // per lane). The 1-lane row compares the production lane path, end
-  // to end, against the stage-and-merge reference kept callable
-  // in-tree; the ping-pong row times the SPSC hand-off primitive
-  // against a mutex-protected deque, one round trip per op.
+  // The session lanes. Each lane's slice of the balanced
+  // 64-frame open+seal burst — serial dispatch included — is timed
+  // inline; the burst is costed at the slowest lane (one core per
+  // lane). The 1-lane row compares the production lane path, end to
+  // end, against the pre-sharding single-threaded loop kept callable
+  // in-tree.
   auto lane_burst_ns = [&](std::size_t lanes) {
     LaneChainBench bench(lanes);
     double critical = 0;
@@ -1313,19 +1143,9 @@ int run_json_mode(const std::string& path) {
   double lane2 = lane_burst_ns(2);
   double lane4 = lane_burst_ns(4);
   double lane8 = lane_burst_ns(8);
-  LaneChainBench lane_server(1), staged_lane_server(1);
-  auto [lane_full_ns, lane_staged_ns] = time_pair_ns_per_op(
-      [&] { lane_server.run_full(); },
-      [&] { staged_lane_server.run_staged(); });
-  double spsc_pp_ns = 0, mutex_pp_ns = 0;
-  {
-    SpscPingPongBench ping;
-    spsc_pp_ns = time_ns_per_op([&] { ping.round_trip(); });
-  }
-  {
-    MutexPingPongBench ping;
-    mutex_pp_ns = time_ns_per_op([&] { ping.round_trip(); });
-  }
+  LaneChainBench lane_server(1), prepr_server(1);
+  auto [server_lane_ns, server_prepr_ns] = time_pair_ns_per_op(
+      [&] { lane_server.run_full(); }, [&] { prepr_server.run_reference(); });
 
   // PR-9: stream-aware inspection. One op scans the whole kPayload
   // stream delivered as split-byte segments against the 377-rule
@@ -1500,18 +1320,11 @@ int run_json_mode(const std::string& path) {
       {"sharded_chain_1shard_vs_plain_1500B_burst64",
        one_shard_ns / static_cast<double>(kShardBurst),
        plain_ns / static_cast<double>(kShardBurst)},
-      // new = N-shard critical path of the server's open+seal burst,
-      // ref = the 1-shard burst: speedup is the aggregate server
-      // throughput gain of session sharding.
-      {"server_shard_open_seal_2shards", server2 / kServerBurst,
-       server1 / kServerBurst},
-      {"server_shard_open_seal_4shards", server4 / kServerBurst,
-       server1 / kServerBurst},
-      // new = staged 1-shard path end to end, ref = the pre-sharding
-      // single-threaded loop: speedup ~1.0 shows staging costs nothing
-      // when not sharded.
-      {"server_shard_1shard_vs_prepr", server_staged_ns / kServerBurst,
-       server_prepr_ns / kServerBurst},
+      // new = the production 1-lane path end to end, ref = the
+      // pre-sharding single-threaded loop: speedup ~1.0 shows lane
+      // dispatch costs nothing when not parallel.
+      {"server_shard_1shard_vs_prepr", server_lane_ns / kLaneBurst,
+       server_prepr_ns / kLaneBurst},
       // new = LifecycleTable + timer wheel, ref = unordered_map with a
       // periodic full-table expiry scan, per churn step (expiry pass +
       // admission + touch) at a steady-state session population.
@@ -1530,15 +1343,6 @@ int run_json_mode(const std::string& path) {
       {"lane_chain_open_seal_2lanes", lane2 / kLaneBurst, lane1 / kLaneBurst},
       {"lane_chain_open_seal_4lanes", lane4 / kLaneBurst, lane1 / kLaneBurst},
       {"lane_chain_open_seal_8lanes", lane8 / kLaneBurst, lane1 / kLaneBurst},
-      // new = the production lane pipeline at 1 lane end to end, ref =
-      // the stage-and-merge path it replaced: speedup ~1.0 shows
-      // run-to-completion costs nothing when not parallel.
-      {"lane_chain_1lane_vs_staged", lane_full_ns / kLaneBurst,
-       lane_staged_ns / kLaneBurst},
-      // new = one SPSC-ring round trip (four ring ops, one thread
-      // playing both ends), ref = the same hand-off through
-      // mutex-protected deques.
-      {"spsc_ring_ping_pong", spsc_pp_ns, mutex_pp_ns},
       // new = resumable stream scan of one 1500B stream in split-byte
       // segments, ref = per-packet rescan of the same segments.
       // Speedup near 1.0 means cross-segment correctness is close to
@@ -1578,11 +1382,12 @@ int run_json_mode(const std::string& path) {
   std::fprintf(f,
                "  \"note\": \"ref = pre-PR implementation kept callable "
                "in-tree; click_chain rows are ns/packet for 64-packet bursts "
-               "(batched vs per-packet); sharded_chain and server_shard rows "
+               "(batched vs per-packet); sharded_chain rows "
                "are critical-path ns/packet for 64-packet bursts, each shard "
                "timed serially and the burst costed at the slowest shard (one "
-               "core per shard, the virtual-time model); server_shard rows "
-               "cover open_batch + seal_jobs over 16 sessions; "
+               "core per shard, the virtual-time model); "
+               "server_shard_1shard_vs_prepr is the 1-lane open_batch + "
+               "seal_jobs burst over 16 sessions vs the pre-sharding loop; "
                "session_table_churn rows are ns per churn step (expiry pass + "
                "admission + touch) at a steady-state population, timer-wheel "
                "LifecycleTable vs an unordered_map with a periodic full-table "
@@ -1594,11 +1399,8 @@ int run_json_mode(const std::string& path) {
                "are critical-path ns/packet of the run-to-completion lane "
                "pipeline's 64-frame open+seal burst (each lane timed serially, "
                "dispatch included, burst costed at the slowest lane, sessions "
-               "balanced across residue classes); spsc_ring_ping_pong is one "
-               "round trip through a pair of SPSC rings vs mutex-protected "
-               "deques, one thread playing both ends so the row times the "
-               "primitive, not the scheduler (mb_per_s is meaningless for "
-               "that row); stream_scan_resume rows scan one 1500B stream "
+               "balanced across residue classes); stream_scan_resume rows "
+               "scan one 1500B stream "
                "delivered as N-byte segments, resumable Aho-Corasick walk "
                "(state persists across segments, straddles caught) vs the "
                "per-packet rescan it replaces (blind to split patterns); "

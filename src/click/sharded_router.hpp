@@ -1,24 +1,25 @@
-// ShardedRouter: N independent element-graph instances cloned from one
-// parsed configuration, fed by RSS-style flow sharding (FastClick's
-// one-graph-per-core design).
+// ShardedRouter: N independent element-graph instances ("lanes")
+// cloned from one parsed configuration, fed by RSS-style flow sharding
+// (FastClick's one-graph-per-core design).
 //
 // A dispatcher hashes each packet's 5-tuple FlowKey (the splitmix64
-// finaliser of std::hash<FlowKey>) to a shard, so every flow lives
-// entirely inside one shard and shards share no mutable element state —
-// per-flow order is preserved without any cross-shard synchronisation,
+// finaliser of std::hash<FlowKey>) to a lane, so every flow lives
+// entirely inside one lane and lanes share no mutable element state —
+// per-flow order is preserved without any cross-lane synchronisation,
 // exactly the property stateful middlebox scaling needs (NFOS-style
-// state partitioning). Bursts are partitioned into per-shard
-// sub-batches and run on a small worker-thread pool (one job per
-// non-empty shard; the calling thread participates); with one shard the
-// graph runs inline on the caller, so the single-shard path stays the
-// bit-identical baseline.
+// state partitioning). A burst moves one way: partition by RSS hash
+// into per-lane sub-bursts, run the busy lanes (inline when only one
+// is busy, on the worker pool otherwise; ShardWorkerPool::run_busy),
+// and let each lane's ToDevice sink collect its results, which the
+// caller concatenates in lane order. A one-lane router is the same
+// path with one partition, so it costs what a plain Router costs.
 //
-// Hot-swap keeps RouterManager's semantics per shard (same-name/
-// same-class take_state, shard i -> shard i). reshard(n) changes the
-// shard count at runtime: queued packets are drained and re-hashed to
-// the shard their flow now maps to, and every other element's state is
-// folded into the new shard set with Element::absorb_state (old shard o
-// merges into new shard o % n), so Counter totals, flow tables and IDPS
+// Hot-swap keeps RouterManager's semantics per lane (same-name/
+// same-class take_state, lane i -> lane i). reshard(n) changes the
+// lane count at runtime: queued packets are drained and re-hashed to
+// the lane their flow now maps to, and every other element's state is
+// folded into the new lane set with Element::absorb_state (old lane o
+// merges into new lane o % n), so Counter totals, flow tables and IDPS
 // statistics survive the transition with no packet loss.
 #pragma once
 
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "click/router.hpp"
-#include "click/spsc_ring.hpp"
 #include "net/packet.hpp"
 
 namespace endbox::click {
@@ -89,6 +89,30 @@ class ShardWorkerPool {
       pool = std::make_unique<ShardWorkerPool>(shards);
   }
 
+  /// The one burst rule every lane data plane applies once it has
+  /// partitioned a burst: `busy(i)` says whether lane i got work. No
+  /// busy lane does nothing; one runs `fn` inline on the caller (no
+  /// lock, no wake-up, so a one-lane data plane never touches the
+  /// pool); more run on `pool` with the caller participating. `pool`
+  /// must exist whenever `lanes` > 1 (ensure's policy).
+  template <typename Busy, typename Fn>
+  static void run_busy(ShardWorkerPool* pool, std::size_t lanes, Busy&& busy,
+                       Fn&& fn) {
+    std::size_t count = 0, last = 0;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      if (!busy(i)) continue;
+      ++count;
+      last = i;
+    }
+    if (count == 1) {
+      fn(last);
+    } else if (count > 1) {
+      pool->run(lanes, [&](std::size_t i) {
+        if (busy(i)) fn(i);
+      });
+    }
+  }
+
  private:
   void worker_loop();
   void execute_job(std::unique_lock<std::mutex>& lock, std::size_t job);
@@ -140,31 +164,12 @@ class ShardedRouter {
   /// element does not exist.
   bool push_to(const std::string& name, net::Packet&& packet);
 
-  /// Partitions the burst by flow and pushes each shard's sub-burst
-  /// into that shard's `name` element, running non-empty shards
-  /// concurrently on the worker pool. The batch is consumed. Returns
-  /// false when the entry element does not exist. This is the staged
-  /// reference path; the steady-state data plane uses
-  /// push_batch_lanes.
+  /// Partitions the burst by flow and pushes each lane's sub-burst
+  /// into that lane's `name` element, running the busy lanes per
+  /// ShardWorkerPool::run_busy. Each lane's ToDevice sink sees its own
+  /// packets in arrival order; nothing merges across lanes. The batch
+  /// is consumed. Returns false when the entry element does not exist.
   bool push_batch_to(const std::string& name, PacketBatch&& batch);
-
-  /// Run-to-completion lane entry: RSS-dispatches each packet into its
-  /// lane's SPSC ring, then every busy lane drains its own ring and
-  /// runs the graph to completion — no staging batch shared with the
-  /// caller and no cross-lane merge. One busy lane runs inline on the
-  /// calling thread. The batch is consumed. Returns false when the
-  /// entry element does not exist.
-  bool push_batch_lanes(const std::string& name, PacketBatch&& batch);
-
-  /// Producer-side high-water of lane `i`'s ring since the last
-  /// reset_lane_stats() — how deep that lane's backlog got, the
-  /// imbalance signal the reshard controller consumes.
-  std::uint64_t lane_ring_peak(std::size_t i) const {
-    return lane_rings_[i]->peak();
-  }
-  void reset_lane_stats() {
-    for (auto& ring : lane_rings_) ring->reset_peak();
-  }
 
   /// Hot-swaps every shard to a new configuration, transferring element
   /// state shard-for-shard via take_state (RouterManager semantics).
@@ -188,10 +193,7 @@ class ShardedRouter {
   RouterFactory factory_;
   std::string config_text_;
   std::vector<std::unique_ptr<Router>> shards_;
-  std::vector<PacketBatch> partition_scratch_;  ///< per-shard sub-bursts
-  /// One SPSC ring per lane (unique_ptr: rings pin their cache-line
-  /// aligned counters, so they never move).
-  std::vector<std::unique_ptr<SpscRing<net::Packet>>> lane_rings_;
+  std::vector<PacketBatch> partition_scratch_;  ///< per-lane sub-bursts
   std::unique_ptr<ShardWorkerPool> pool_;       ///< absent for 1 shard
   std::uint64_t reshard_count_ = 0;
 };

@@ -16,46 +16,41 @@ EndBoxEnclave::EndBoxEnclave(sgx::SgxPlatform& platform, sgx::SgxMode mode,
       options_(options),
       enclave_key_(crypto::rsa_generate(rng)),
       key_store_(tls::SessionKeyStore::Options{options.tls_key_capacity,
-                                               options.tls_key_idle_timeout}),
-      registry_(elements::make_endbox_registry(context_)),
-      routers_(registry_) {
-  context_.key_store = &key_store_;
-  context_.trusted_time = [this] {
-    // sgx_get_trusted_time is an ocall into the platform service.
-    count_ocall();
-    return this->platform().trusted_time();
-  };
-  context_.untrusted_time = [this] { return this->platform().trusted_time(); };
-  context_.to_device = [this](net::Packet&& packet, bool accepted) {
-    click_results_.push_back(ClickOutcome{accepted, std::move(packet)});
-  };
+                                               options.tls_key_idle_timeout}) {
   click_results_.reserve(click::PacketBatch::kMaxBurst);
   if (options_.shards == 0) options_.shards = 1;
+  ensure_shard_rigs(1);
 }
 
 void EndBoxEnclave::ensure_shard_rigs(std::size_t count) {
   while (shard_rigs_.size() < count) {
     auto rig = std::make_unique<ShardRig>();
     rig->context.key_store = &key_store_;
-    rig->context.rulesets = context_.rulesets;
-    // No count_ocall here: these lambdas run on shard worker threads,
-    // which must not touch the shared enclave statistics. Trusted-time
-    // reads tally into the per-shard context instead.
+    // Each lane keeps its own copy of the rule sets (graphs must not
+    // share mutable state); lane 0 holds the copy new lanes clone.
+    if (!shard_rigs_.empty())
+      rig->context.rulesets = shard_rigs_[0]->context.rulesets;
+    // sgx_get_trusted_time is an ocall into the platform service. The
+    // lambda runs on lane threads, so it only reads the clock; the
+    // splitter's trusted_time_calls tally is folded into the enclave's
+    // ocall count on the calling thread (fold_trusted_time_ocalls).
     rig->context.trusted_time = [this] { return this->platform().trusted_time(); };
     rig->context.untrusted_time = [this] { return this->platform().trusted_time(); };
     ShardRig* raw = rig.get();
+    // The one sink: every delivery, accepted or rejected, lands in the
+    // lane's result list; the caller recycles rejected buffers.
     rig->context.to_device = [raw](net::Packet&& packet, bool accepted) {
-      // Accepted packets collect in the shard's result list (merged back
-      // into arrival order after the burst); rejected ones recycle their
-      // buffers into the shard-local pool, contention-free.
-      if (accepted) {
-        raw->results.push_back(ClickOutcome{true, std::move(packet)});
-      } else {
-        raw->pool.release(std::move(packet));
-      }
+      raw->results.push_back(ClickOutcome{accepted, std::move(packet)});
     };
     rig->results.reserve(click::PacketBatch::kMaxBurst);
     shard_rigs_.push_back(std::move(rig));
+  }
+}
+
+void EndBoxEnclave::fold_trusted_time_ocalls() {
+  for (auto& rig : shard_rigs_) {
+    count_ocall(rig->context.trusted_time_calls - rig->time_calls_folded);
+    rig->time_calls_folded = rig->context.trusted_time_calls;
   }
 }
 
@@ -133,13 +128,11 @@ Status EndBoxEnclave::ecall_install_config(const config::ConfigBundle& bundle) {
   Status status;
   if (sharded_) {
     status = sharded_->hot_swap(*text);
-  } else if (options_.shards > 1) {
+  } else {
     auto built =
         click::ShardedRouter::create(*text, options_.shards, shard_router_factory());
     if (built.ok()) sharded_ = std::move(*built);
     else status = err(built.error());
-  } else {
-    status = routers_.current() ? routers_.hot_swap(*text) : routers_.install(*text);
   }
   if (!status.ok()) return err("install config: " + status.error());
   config_version_ = bundle.version;
@@ -163,24 +156,7 @@ click::ShardedRouter::RouterFactory EndBoxEnclave::shard_router_factory() {
 Status EndBoxEnclave::ecall_reshard(std::size_t shards) {
   EcallGuard guard(*this);
   if (shards == 0) return err("reshard: shard count must be positive");
-  if (sharded_) {
-    auto status = sharded_->reshard(shards);
-    if (!status.ok()) return err("reshard: " + status.error());
-    return {};
-  }
-  if (!routers_.current()) return err("reshard: no middlebox configuration installed");
-  if (shards == 1) return {};
-  // Promote the single-core router: clone the config into a one-shard
-  // set, adopt the live element state 1:1 (take_state, like a hot-swap
-  // to the same config), then let reshard redistribute it by flow.
-  auto built = click::ShardedRouter::create(routers_.current()->config_text(), 1,
-                                            shard_router_factory());
-  if (!built.ok()) return err("reshard: " + built.error());
-  for (click::Element* fresh : (*built)->shard(0).elements()) {
-    click::Element* old = routers_.current()->find(fresh->name());
-    if (old && old->class_name() == fresh->class_name()) fresh->take_state(*old);
-  }
-  sharded_ = std::move(*built);
+  if (!sharded_) return err("reshard: no middlebox configuration installed");
   auto status = sharded_->reshard(shards);
   if (!status.ok()) return err("reshard: " + status.error());
   return {};
@@ -189,8 +165,7 @@ Status EndBoxEnclave::ecall_reshard(std::size_t shards) {
 Result<Bytes> EndBoxEnclave::ecall_handshake_init(crypto::RsaPublicKey server_key) {
   EcallGuard guard(*this);
   if (!certificate_) return err("handshake: not provisioned (attestation required)");
-  if (!sharded_ && !routers_.current())
-    return err("handshake: no middlebox configuration installed");
+  if (!sharded_) return err("handshake: no middlebox configuration installed");
   vpn::VpnClientConfig vpn_config;
   vpn_config.min_version = options_.min_version;
   vpn_config.encrypt_data = options_.encrypt_data;
@@ -210,95 +185,46 @@ Status EndBoxEnclave::ecall_handshake_reply(ByteView wire) {
 }
 
 EndBoxEnclave::ClickOutcome EndBoxEnclave::run_click(net::Packet&& packet) {
-  if (sharded_) {
-    // Route to the flow's shard and run its graph inline (the calling
-    // thread; per-packet ecalls never touch the worker pool).
-    ShardRig& rig = *shard_rigs_[sharded_->shard_for(packet)];
-    rig.results.clear();
-    bool routed = sharded_->push_to("from_device", std::move(packet));
-    // A rejected packet recycled into the shard-local pool; keep the
-    // main circulation whole on the per-packet path too.
-    pool_.adopt_from(rig.pool);
-    if (!routed) return ClickOutcome{false, {}};
-    if (rig.results.empty()) return ClickOutcome{false, {}};  // rejected/discarded
-    ClickOutcome outcome = std::move(rig.results.back());
-    rig.results.clear();
-    return outcome;
+  if (!sharded_) return ClickOutcome{false, {}};
+  // The flow's lane runs inline on the calling thread (per-packet
+  // ecalls never touch the worker pool).
+  ShardRig& rig = *shard_rigs_[sharded_->shard_for(packet)];
+  bool routed = sharded_->push_to("from_device", std::move(packet));
+  fold_trusted_time_ocalls();
+  ClickOutcome outcome;
+  if (routed && !rig.results.empty()) {
+    // Elements may deliver a packet to ToDevice more than once (Tee);
+    // the last verdict wins. No delivery = discarded mid-graph.
+    outcome = std::move(rig.results.back());
+    rig.results.pop_back();
   }
-  click_results_.clear();
-  if (!routers_.current() || !routers_.current()->push_to("from_device", std::move(packet)))
-    return ClickOutcome{false, {}};
-  if (click_results_.empty()) return ClickOutcome{false, {}};  // discarded mid-graph
-  // Elements may deliver a packet to ToDevice more than once (Tee); the
-  // last verdict wins, matching the pre-batching behaviour.
-  ClickOutcome outcome = std::move(click_results_.back());
-  click_results_.clear();
+  for (ClickOutcome& other : rig.results) pool_.release(std::move(other.packet));
+  rig.results.clear();
   return outcome;
-}
-
-void EndBoxEnclave::merge_shard_results() {
-  std::size_t shards = sharded_->shard_count();
-  if (shards == 1) {
-    for (ClickOutcome& outcome : shard_rigs_[0]->results)
-      click_results_.push_back(std::move(outcome));
-    shard_rigs_[0]->results.clear();
-    return;
-  }
-  merge_heads_.assign(shards, 0);
-  while (true) {
-    std::size_t best = shards;
-    std::uint32_t best_tag = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto& results = shard_rigs_[s]->results;
-      if (merge_heads_[s] >= results.size()) continue;
-      std::uint32_t tag = results[merge_heads_[s]].packet.burst_tag;
-      if (best == shards || tag < best_tag) {
-        best = s;
-        best_tag = tag;
-      }
-    }
-    if (best == shards) break;
-    click_results_.push_back(
-        std::move(shard_rigs_[best]->results[merge_heads_[best]++]));
-  }
-  for (std::size_t s = 0; s < shards; ++s) shard_rigs_[s]->results.clear();
-}
-
-void EndBoxEnclave::collect_lane_results() {
-  for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
-    for (ClickOutcome& outcome : shard_rigs_[s]->results)
-      click_results_.push_back(std::move(outcome));
-    shard_rigs_[s]->results.clear();
-  }
 }
 
 bool EndBoxEnclave::run_click_burst(click::PacketBatch&& batch) {
   click_results_.clear();
-  if (sharded_) {
-    // burst_tag still stamps the arrival index — the per-flow ordering
-    // witness consumers assert against (and the merge key of the
-    // reference path).
-    std::uint32_t tag = 0;
-    for (net::Packet& packet : batch) packet.burst_tag = tag++;
-    for (auto& rig : shard_rigs_) rig->results.clear();
-    if (options_.lane_pipeline) {
-      if (!sharded_->push_batch_lanes("from_device", std::move(batch)))
-        return false;
-      collect_lane_results();
-      for (auto& rig : shard_rigs_) pool_.adopt_from(rig->pool);
-      return true;
+  if (!sharded_) return false;
+  // burst_tag stamps the arrival index — the per-flow ordering witness
+  // consumers assert against.
+  std::uint32_t tag = 0;
+  for (net::Packet& packet : batch) packet.burst_tag = tag++;
+  bool routed = sharded_->push_batch_to("from_device", std::move(batch));
+  fold_trusted_time_ocalls();
+  // Concatenate in lane order; no cross-lane merge. Swapping the first
+  // list in keeps both vectors' capacity circulating.
+  for (std::size_t s = 0; s < sharded_->shard_count(); ++s) {
+    std::vector<ClickOutcome>& results = shard_rigs_[s]->results;
+    if (click_results_.empty()) {
+      std::swap(click_results_, results);
+    } else {
+      for (ClickOutcome& outcome : results)
+        click_results_.push_back(std::move(outcome));
     }
-    if (!sharded_->push_batch_to("from_device", std::move(batch))) return false;
-    merge_shard_results();
-    // Rejected packets recycled into the shard-local pools on the
-    // worker threads; adopt the buffers back into the main pool here
-    // (single-threaded again) so the ecall-boundary circulation that
-    // callers acquire from never starves.
-    for (auto& rig : shard_rigs_) pool_.adopt_from(rig->pool);
-    return true;
+    results.clear();
   }
-  return routers_.current() &&
-         routers_.current()->push_batch_to("from_device", std::move(batch));
+  return routed;
 }
 
 Result<EgressResult> EndBoxEnclave::ecall_process_egress(net::Packet packet) {
@@ -513,10 +439,11 @@ std::size_t EndBoxEnclave::ecall_expire_tls_keys(sim::Time now) {
 void EndBoxEnclave::ecall_add_ruleset(const std::string& name,
                                       std::vector<idps::SnortRule> rules) {
   EcallGuard guard(*this);
-  // Shard rigs keep their own copy (their graphs must not share mutable
-  // state); rigs created later copy from context_ at creation.
-  for (auto& rig : shard_rigs_) rig->context.rulesets[name] = rules;
-  context_.rulesets[name] = std::move(rules);
+  // Every lane keeps its own copy (their graphs must not share mutable
+  // state); rigs created later copy lane 0's at creation.
+  for (std::size_t i = 1; i < shard_rigs_.size(); ++i)
+    shard_rigs_[i]->context.rulesets[name] = rules;
+  shard_rigs_[0]->context.rulesets[name] = std::move(rules);
 }
 
 EndBoxEnclave::StreamStatsSnapshot EndBoxEnclave::stream_stats() const {
@@ -545,12 +472,9 @@ EndBoxEnclave::StreamStatsSnapshot EndBoxEnclave::stream_stats() const {
       }
     }
   };
-  if (sharded_) {
+  if (sharded_)
     for (std::size_t i = 0; i < sharded_->shard_count(); ++i)
       scan_router(sharded_->shard(i));
-  } else if (const click::Router* router = routers_.current()) {
-    scan_router(*router);
-  }
   return snapshot;
 }
 

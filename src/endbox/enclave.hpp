@@ -2,10 +2,20 @@
 //
 // Trusted state: the enclave key pair, the CA-issued certificate, the
 // pre-shared config key, the VPN session (keys never leave), the Click
-// router with the middlebox configuration, and the TLS session-key
+// graphs with the middlebox configuration, and the TLS session-key
 // store. Every entry point is an ecall guarded for lifecycle and
 // counted for the perf model; input validation on each ecall mirrors
 // the paper's hardened interface (section IV-B).
+//
+// The middlebox functions always run on a click::ShardedRouter: one
+// element graph per lane (EnclaveOptions::shards, default 1), each
+// with its own ElementContext and result sink (a "lane rig"). A burst
+// takes the router's one dispatch path; a 1-lane enclave is a 1-lane
+// router, not a separate code path. Every ToDevice delivery, accepted
+// or rejected, lands in its lane's result list; after each push the
+// calling thread concatenates the lists in lane order, recycles
+// rejected buffers into packet_pool() and folds the lanes'
+// trusted-time calls into the enclave's ocall count.
 #pragma once
 
 #include <memory>
@@ -14,7 +24,6 @@
 
 #include "ca/authority.hpp"
 #include "click/packet_batch.hpp"
-#include "click/router.hpp"
 #include "click/sharded_router.hpp"
 #include "config/bundle.hpp"
 #include "elements/context.hpp"
@@ -79,18 +88,13 @@ struct EnclaveOptions {
   /// timeout are pruned by ecall_expire_tls_keys (0 = teardown-only).
   std::size_t tls_key_capacity = std::size_t{1} << 20;
   sim::Time tls_key_idle_timeout = 0;
-  /// Element-graph instances the middlebox functions run on (RSS flow
-  /// sharding, one worker thread per shard — SGX enclaves are
-  /// multi-threaded via multiple TCSs). 1 keeps the single-core batched
-  /// path, bit-identical to the pre-sharding enclave.
+  /// Element-graph lanes the middlebox functions run on (RSS flow
+  /// sharding, one worker thread per busy lane beyond the caller — SGX
+  /// enclaves are multi-threaded via multiple TCSs). Results surface in
+  /// lane-concatenation order: per-flow order is exact, the order
+  /// across flows is a function of the lane count. At 1 lane a burst
+  /// runs inline on the calling thread in arrival order.
   std::size_t shards = 1;
-  /// Steady-state burst path. true (default): run-to-completion lanes —
-  /// SPSC ring dispatch, lane-local drains, results surface in
-  /// lane-concatenation order (per-flow order exact, global order a
-  /// function of the lane count). false: the staged reference path with
-  /// the global burst_tag arrival-order merge, kept callable as the
-  /// bit-exact pre-lane baseline.
-  bool lane_pipeline = true;
 };
 
 class EndBoxEnclave : public sgx::Enclave {
@@ -120,8 +124,9 @@ class EndBoxEnclave : public sgx::Enclave {
   /// rollback (monotonic versions enforced inside the enclave).
   Status ecall_install_config(const config::ConfigBundle& bundle);
   std::uint32_t config_version() const { return config_version_; }
+  /// Lane 0's graph (the only one at 1 lane); null before install.
   const click::Router* router() const {
-    return sharded_ ? &sharded_->shard(0) : routers_.current();
+    return sharded_ ? &sharded_->shard(0) : nullptr;
   }
 
   // ---- Sharding (multi-core scaling) ----------------------------------
@@ -210,7 +215,6 @@ class EndBoxEnclave : public sgx::Enclave {
   };
   StreamStatsSnapshot stream_stats() const;
 
-  const elements::ElementContext& element_context() const { return context_; }
   const vpn::VpnClientSession* session() const {
     return session_ ? &*session_ : nullptr;
   }
@@ -222,39 +226,34 @@ class EndBoxEnclave : public sgx::Enclave {
     bool accepted = false;
     net::Packet packet;
   };
-  /// Per-shard plumbing: each shard owns an ElementContext (its graphs
-  /// share no mutable state with other shards), a result sink its
-  /// ToDevice fills on the shard's worker thread, and a PacketPool that
-  /// recycles rejected packets' buffers without cross-shard contention.
-  /// Trusted-time ocalls of sharded graphs tally into the per-shard
-  /// ElementContext (not the global enclave stats, which worker threads
-  /// must not touch).
+  /// One lane rig: the lane's ElementContext (its graph shares no
+  /// mutable state with other lanes) and the result sink its ToDevice
+  /// fills on the lane's thread. Trusted-time calls tally into the
+  /// lane's context (worker threads must not touch the enclave
+  /// statistics); `time_calls_folded` is how many of them the enclave
+  /// has already counted as ocalls.
   struct ShardRig {
     elements::ElementContext context;
     click::ElementRegistry registry;
     std::vector<ClickOutcome> results;
-    net::PacketPool pool;
+    std::uint64_t time_calls_folded = 0;
     ShardRig() : registry(elements::make_endbox_registry(context)) {}
   };
-  /// Pushes a packet through the current router; collects the ToDevice
-  /// verdict synchronously.
+  /// Pushes one packet through its flow's lane inline; the last
+  /// ToDevice delivery is the verdict (a Tee may deliver more than
+  /// once), at every lane count.
   ClickOutcome run_click(net::Packet&& packet);
-  /// Runs a whole burst through the graph(s) with one virtual call per
-  /// element (per shard) and fills click_results_ with the delivered
-  /// outcomes in arrival order. Returns false when no configuration is
+  /// Runs a whole burst through the lanes with one virtual call per
+  /// element per lane and fills click_results_ with every delivery, in
+  /// lane-concatenation order. Returns false when no configuration is
   /// installed or the entry element is missing.
   bool run_click_burst(click::PacketBatch&& batch);
-  /// K-way merge of the per-shard result lists back into arrival order
-  /// (each list is burst_tag-sorted because partitioning keeps order).
-  /// Reference path only (options_.lane_pipeline == false).
-  void merge_shard_results();
-  /// Lane-pipeline collection: concatenates the per-lane result lists
-  /// in lane order — per-flow order is exact (a flow lives in one
-  /// lane's FIFO), global order is deterministic per lane count.
-  void collect_lane_results();
-  /// Creates shard rigs up to `count` (contexts wired to this enclave).
+  /// Counts the lanes' trusted-time calls made since the last fold as
+  /// ocalls (calling thread only, after a push).
+  void fold_trusted_time_ocalls();
+  /// Creates lane rigs up to `count`; new rigs copy lane 0's rule sets.
   void ensure_shard_rigs(std::size_t count);
-  /// Factory building shard i's router from shard i's registry.
+  /// Factory building lane i's router from lane i's registry.
   click::ShardedRouter::RouterFactory shard_router_factory();
   /// Seals one accepted packet into `out` and recycles its buffers.
   void seal_egress_packet(net::Packet&& packet, EgressBatch& out);
@@ -268,21 +267,17 @@ class EndBoxEnclave : public sgx::Enclave {
   std::uint64_t config_key_ = 0;
 
   tls::SessionKeyStore key_store_;
-  elements::ElementContext context_;
-  click::ElementRegistry registry_;
-  click::RouterManager routers_;
-  // Sharded mode (options_.shards > 1 or a runtime reshard): the graphs
-  // live in sharded_ and per-shard rigs instead of routers_.
+  /// Lane rigs; rig 0 always exists and holds the registered rule sets
+  /// (rigs only grow, so a shrinking reshard keeps them warm).
   std::vector<std::unique_ptr<ShardRig>> shard_rigs_;
-  std::unique_ptr<click::ShardedRouter> sharded_;
-  std::vector<std::size_t> merge_heads_;  ///< merge scratch, reused
+  std::unique_ptr<click::ShardedRouter> sharded_;  ///< null until install
   std::uint32_t config_version_ = 0;
   std::size_t config_epc_bytes_ = 0;
 
   std::optional<vpn::VpnClientSession> session_;
 
-  // Scratch state collecting ToDevice verdicts of the current push (one
-  // entry per packet that exited the graph, in exit order).
+  // Every ToDevice delivery of the current burst, lanes concatenated in
+  // lane order (exit order within a lane).
   std::vector<ClickOutcome> click_results_;
   click::PacketBatch ingress_stage_;  ///< pre-Click staging for ingress bursts
   net::PacketPool pool_;

@@ -9,21 +9,21 @@
 // The data plane is session-sharded (NFOS-style state partitioning,
 // mirroring the enclave's RSS flow sharding): sessions are pinned to
 // one of N lanes by splitmix64(session_id) % N, and each lane owns its
-// sessions, buffer pool, SPSC hand-off ring and data-path statistics.
-// open_batch / seal_jobs run the lanes run-to-completion: the caller's
-// only serial work is lane dispatch (size/type check, RSS hash, ring
-// push); the lane itself looks the session up, decrypts, checks
-// replay, reassembles and emits — and results concatenate in lane
-// order with NO cross-lane merge. Ordering is therefore guaranteed
-// per session only (each session lives on exactly one FIFO lane), not
-// across the burst — the run-to-completion contract. The pre-PR
-// staged path (caller-side staging loop + k-way arrival-order merge
-// by burst_tag) stays callable as open_batch_staged, the reference
-// baseline. No mutable state is shared between lanes, so per-session
+// sessions, buffer pool, work list and data-path statistics. A burst
+// moves one way (open_batch, seal_jobs): the caller checks each
+// frame's size and type, hashes it to its lane and appends its index
+// to that lane's work list; the busy lanes then run run-to-completion
+// (ShardWorkerPool::run_busy: inline when one lane is busy, on the
+// pool otherwise) — session lookup, decrypt, replay, reassembly — and
+// the results concatenate in lane order with no cross-lane merge.
+// Ordering is therefore guaranteed per session only (each session
+// lives on exactly one lane), not across the burst. The single-threaded
+// pre-sharding loop stays callable as open_batch_reference, the
+// oracle. No mutable state is shared between lanes, so per-session
 // order needs no locks. reshard_sessions() changes the lane count at
 // runtime without losing replay windows or pending fragment groups —
-// the hook an adaptive load controller drives (fed per-lane ring
-// depth and busy imbalance so it can split a hot lane).
+// the hook an adaptive load controller drives (fed per-lane frame
+// counts so it can split a hot lane).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,6 @@
 
 #include "ca/certificate.hpp"
 #include "click/sharded_router.hpp"
-#include "click/spsc_ring.hpp"
 #include "common/hash.hpp"
 #include "common/lifecycle_table.hpp"
 #include "common/rng.hpp"
@@ -160,54 +159,36 @@ class VpnServer {
     std::vector<std::uint32_t> opened_sessions;
   };
 
-  /// Opens a burst of data frames on the run-to-completion lane
-  /// pipeline: the caller's serial pass is lane dispatch only
-  /// (size/type check, RSS hash, SPSC ring push), then every frame
-  /// runs entirely on its session's lane — session lookup, decrypt,
-  /// replay check, reassembly — with lane-local pools, scratch and
-  /// stats, and the lanes' results concatenate in lane order with no
-  /// cross-lane merge. Completed packets land in
-  /// `out.packets[0..packet_count)` in per-session arrival order
-  /// (each session lives on one FIFO lane); the order ACROSS sessions
-  /// depends on the lane count — that is the per-flow ordering
-  /// contract. burst_tag still carries each packet's arrival index,
-  /// so callers needing the global order can sort (or call
-  /// open_batch_staged). Frames may belong to different sessions. A
-  /// bad frame rejects that frame only — a shared server keeps
-  /// serving its other clients. Non-data frames (ping/handshake) are
-  /// rejected here; they belong on handle().
+  /// Opens a burst of data frames on the lanes: the caller's serial
+  /// pass is lane dispatch only (size/type check, RSS hash, append to
+  /// the lane's work list), then every frame runs entirely on its
+  /// session's lane — session lookup, decrypt, replay check,
+  /// reassembly — with lane-local pools, scratch and stats, and the
+  /// lanes' results concatenate in lane order with no cross-lane merge.
+  /// Completed packets land in `out.packets[0..packet_count)` in
+  /// per-session arrival order (each session lives on one lane); the
+  /// order ACROSS sessions depends on the lane count — that is the
+  /// per-flow ordering contract. burst_tag still carries each packet's
+  /// arrival index, so callers needing the global order can sort. At
+  /// one lane the order is exact arrival order. Frames may belong to
+  /// different sessions. A bad frame rejects that frame only — a shared
+  /// server keeps serving its other clients. Non-data frames
+  /// (ping/handshake) are rejected here; they belong on handle().
   void open_batch(std::span<const Bytes> wires, sim::Time now, OpenBatch& out);
 
-  /// The pre-PR stage-and-barrier path, kept callable as the
-  /// reference/baseline: the caller stages the burst (header parse,
-  /// session-shard lookup, partition), the shards open their staged
-  /// frames on the worker pool, and the per-shard results k-way merge
-  /// back into global arrival order by burst_tag — exactly what
-  /// open_batch did before the lane pipeline.
-  void open_batch_staged(std::span<const Bytes> wires, sim::Time now,
-                         OpenBatch& out);
-
-  /// The pre-sharding open_batch loop, kept callable so benches and
-  /// equivalence tests compare the staged/sharded path against the
-  /// exact code it replaced (same contract as open_batch; always runs
-  /// single-threaded on the caller, whatever the shard count).
+  /// The pre-sharding open_batch loop, kept callable as the oracle that
+  /// benches and equivalence tests compare open_batch against (same
+  /// contract as open_batch; always runs single-threaded on the caller,
+  /// whatever the lane count, in exact arrival order).
   void open_batch_reference(std::span<const Bytes> wires, sim::Time now,
                             OpenBatch& out);
 
-  /// Bench/test hook: stages `wires` and opens only the frames pinned
-  /// to `shard`, inline on the calling thread — the exact per-shard
-  /// body open_batch_staged runs on the worker pool, so per-shard
-  /// serial timing measures the real work (results in arrival order).
-  void open_batch_shard(std::size_t shard, std::span<const Bytes> wires,
-                        sim::Time now, OpenBatch& out);
-
-  /// Bench/test hook for the lane pipeline: runs the full lane
-  /// dispatch over `wires` but pushes (and then drains,
-  /// run-to-completion, inline on the caller) only the frames whose
-  /// session is pinned to `lane` — so timing this per lane and taking
-  /// the max measures the pipeline's real critical path, dispatch
-  /// included. Unknown-session frames pinned to the lane reject (the
-  /// lane semantics); frames of other lanes are skipped silently.
+  /// Bench/test hook: runs the full lane dispatch over `wires` but
+  /// opens (inline on the caller) only the frames whose session is
+  /// pinned to `lane` — so timing this per lane and taking the max
+  /// measures the data plane's critical path, dispatch included.
+  /// Unknown-session frames pinned to the lane reject (the lane
+  /// semantics); frames of other lanes are skipped silently.
   void open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
                        sim::Time now, OpenBatch& out);
 
@@ -231,8 +212,8 @@ class VpnServer {
   /// Seals a burst of packets spanning any number of sessions: the
   /// caller computes every job's fragment count and output slot range
   /// up front (so `frames` is sized once and jobs never contend for
-  /// slots), hands each job to its session's lane through the SPSC
-  /// ring, and the lanes seal run-to-completion on the worker pool —
+  /// slots), appends each job to its session's lane, and the busy
+  /// lanes seal run-to-completion —
   /// each job's frames land at its precomputed `frames` range, so the
   /// output is byte-identical at any lane count and preserves input
   /// order. Returns the total frame count. Throws std::logic_error on
@@ -263,13 +244,6 @@ class VpnServer {
   std::size_t worker_threads() const { return pool_ ? pool_->worker_count() : 0; }
 
   // ---- Lane introspection (the reshard controller's imbalance feed) --
-  /// High-water mark of `lane`'s SPSC ring since the last
-  /// reset_lane_stats(): the deepest backlog dispatch ever built on
-  /// that lane. A hot lane shows a peak near the burst size while its
-  /// siblings stay shallow.
-  std::uint64_t lane_ring_peak(std::size_t lane) const {
-    return shards_.at(lane)->ring.peak();
-  }
   /// Frames this lane processed run-to-completion (open path) since
   /// the last reset_lane_stats() — the lane's busy proxy.
   std::uint64_t lane_frames(std::size_t lane) const {
@@ -289,13 +263,10 @@ class VpnServer {
   std::size_t lane_pool_buffers(std::size_t lane) const {
     return shards_.at(lane)->pool.pooled();
   }
-  /// Zeroes every lane's ring peak and frame counter (one controller
-  /// observation interval ends, the next begins).
+  /// Zeroes every lane's frame counter (one controller observation
+  /// interval ends, the next begins).
   void reset_lane_stats() {
-    for (auto& shard : shards_) {
-      shard->ring.reset_peak();
-      shard->lane_frames = 0;
-    }
+    for (auto& shard : shards_) shard->lane_frames = 0;
   }
 
   /// Changes the session-shard count at runtime: every session moves
@@ -410,11 +381,10 @@ class VpnServer {
   /// the shard's timer wheel (common/lifecycle_table.hpp).
   using SessionTable = LifecycleTable<std::uint32_t, Session>;
 
-  /// One session lane: sessions, buffer pool, SPSC hand-off ring,
-  /// data-path statistics and per-burst scratch, owned exclusively by
-  /// one worker during a burst (the dispatcher fills the ring before
-  /// the pool runs; the pool's hand-off — or the ring's own
-  /// release/acquire pair — orders everything else).
+  /// One session lane: sessions, buffer pool, work list, data-path
+  /// statistics and per-burst scratch, owned exclusively by one worker
+  /// during a burst (the caller fills the work list before the lanes
+  /// run; the pool's mutex hand-off orders everything else).
   struct SessionShard {
     explicit SessionShard(SessionTable::Options options)
         : sessions(options) {}
@@ -423,9 +393,8 @@ class VpnServer {
     std::uint64_t auth_failures = 0;
     std::uint64_t replays_rejected = 0;
     std::uint64_t stale_config_drops = 0;
-    std::vector<std::uint32_t> frame_idx;  ///< staged arrival indices
-    click::SpscRing<std::uint32_t> ring{64};  ///< lane hand-off: frame/job indices
-    std::uint64_t lane_frames = 0;  ///< frames opened run-to-completion
+    std::vector<std::uint32_t> work;  ///< this burst's frame/job indices
+    std::uint64_t lane_frames = 0;    ///< frames opened run-to-completion
     std::uint64_t starved_mark = 0;  ///< pool.starved() at last rebalance
     OpenBatch scratch;                     ///< per-shard open results
   };
@@ -458,27 +427,21 @@ class VpnServer {
   /// (Re)creates the worker pool for the current shard count, reusing
   /// it when the count shrank (ShardWorkerPool hand-off protocol).
   void ensure_worker_pool();
+  /// The lane a frame belongs to, or shards_.size() for a frame no
+  /// lane can own (short or non-data). Session lookup is left to the
+  /// lane, which owns the table.
+  std::size_t lane_of_frame(const Bytes& wire) const;
   /// Opens wires[idx] on its lane, end to end: session lookup, policy,
-  /// decrypt, replay, reassembly, emit. The run-to-completion body
-  /// shared by the lane worker (unknown sessions reject here — lane
-  /// dispatch no longer looks them up) and the staged worker (which
-  /// staged only known sessions, so the reject arm never fires there).
+  /// decrypt, replay, reassembly, emit (unknown sessions reject here).
   void open_frame_on_shard(SessionShard& shard, const Bytes& wire,
                            std::uint32_t idx, sim::Time now);
-  /// Opens the staged frames of `shard` in arrival order (the worker
-  /// body of open_batch_staged; also run inline for one-shard bursts).
-  void open_shard_frames(SessionShard& shard, std::span<const Bytes> wires,
-                         sim::Time now);
-  /// Drains `shard`'s ring run-to-completion (the lane worker body of
-  /// open_batch).
+  /// Opens `shard`'s work list run-to-completion (the lane body of
+  /// open_batch) into shard.scratch.
   void open_lane_frames(SessionShard& shard, std::span<const Bytes> wires,
                         sim::Time now);
-  /// K-way merges the shards' opened packets into `out` by burst_tag
-  /// (the staged path's global arrival-order barrier).
-  void merge_opened(OpenBatch& out);
-  /// Appends the lanes' opened packets to `out` in lane order — no
-  /// merge, per-session order only (the lane path's collect step).
-  void collect_lanes(OpenBatch& out);
+  /// Moves one lane's opened packets and tallies into `out` (the
+  /// collect step; open_batch runs it per lane, in lane order).
+  static void append_lane(SessionShard& shard, OpenBatch& out);
   /// Tops up lanes that starved this burst from the richest sibling
   /// pool, so a hot lane adopts circulating buffers instead of
   /// allocating silently forever (runs single-threaded between bursts).
@@ -490,10 +453,13 @@ class VpnServer {
                              ByteView ip_packet, std::vector<Bytes>& frames,
                              std::size_t at, bool may_grow);
   /// Stages `jobs` (validating sessions, computing slot ranges and the
-  /// per-shard partition) and returns the total frame count; `bases`
-  /// receives each job's first output slot.
+  /// per-lane work lists) and returns the total frame count;
+  /// seal_bases_ receives each job's first output slot.
   std::size_t stage_seal_jobs(std::span<const SealJob> jobs,
                               std::vector<Bytes>& frames);
+  /// Seals `shard`'s staged jobs into their precomputed slots.
+  void seal_lane(SessionShard& shard, std::span<const SealJob> jobs,
+                 std::vector<Bytes>& frames);
 
   /// One cached handshake reply: answers retransmitted/duplicated
   /// inits idempotently. The nonce disambiguates hash collisions.
@@ -511,7 +477,6 @@ class VpnServer {
   std::vector<std::unique_ptr<SessionShard>> shards_;
   std::optional<HandshakeCache> handshake_cache_;
   std::unique_ptr<click::ShardWorkerPool> pool_;  ///< absent for 1 shard
-  std::vector<std::size_t> merge_heads_;          ///< merge scratch, reused
   std::vector<std::size_t> seal_bases_;           ///< seal_jobs slot bases
   std::uint32_t next_session_id_ = 1;
   std::uint64_t reshard_count_ = 0;

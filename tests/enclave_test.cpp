@@ -1,7 +1,11 @@
 // Focused tests for EndBoxEnclave's ecall surface: provisioning checks,
 // sealed-credential restore, config install edge cases, data-path
-// guards, EPC accounting.
+// guards, EPC accounting, and verdicts and ocall counts that must not
+// depend on the lane count.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "endbox_world.hpp"
 
@@ -141,13 +145,85 @@ TEST_F(EnclaveFixture, DecryptedPayloadNeverLeavesEnclave) {
 }
 
 TEST_F(EnclaveFixture, TrustedTimeOcallsAreCounted) {
-  // The DDoS config's TrustedSplitter reads trusted time via an ocall.
-  World ddos_world;
-  auto ddos_bundle = ddos_world.publish(UseCase::Ddos);
-  auto& client = ddos_world.add_client(ddos_bundle);
-  auto ocalls_before = client.enclave().transitions().ocalls;
-  ASSERT_TRUE(ddos_world.send_through(client, ddos_world.benign_packet()).ok());
-  EXPECT_GT(client.enclave().transitions().ocalls, ocalls_before);
+  // The DDoS config's TrustedSplitter reads trusted time via an ocall;
+  // with SAMPLE 500000 each lane's splitter reads it once, on the first
+  // packet that lane sees. Lanes run on worker threads and tally the
+  // calls lane-locally, so this pins the fold into the enclave's ocall
+  // count at every lane count: exactly one ocall per lane touched.
+  for (std::size_t lanes : {1u, 2u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    World ddos_world;
+    auto ddos_bundle = ddos_world.publish(UseCase::Ddos);
+    EndBoxClientOptions options;
+    options.shards = lanes;
+    auto& enclave = ddos_world.add_client(ddos_bundle, options).enclave();
+    ASSERT_EQ(enclave.shard_count(), lanes);
+    auto ocalls_before = enclave.transitions().ocalls;
+    std::set<std::size_t> touched;
+    for (std::uint16_t flow = 0; flow < 16; ++flow) {
+      net::Packet packet = ddos_world.benign_packet();
+      packet.src_port = static_cast<std::uint16_t>(41000 + flow);
+      touched.insert(click::shard_of(net::FlowKey::of(packet), lanes));
+      ASSERT_TRUE(enclave.ecall_process_egress(std::move(packet)).ok());
+    }
+    EXPECT_EQ(touched.size(), lanes);
+    EXPECT_EQ(enclave.transitions().ocalls - ocalls_before, touched.size());
+  }
+}
+
+// A Tee delivers each packet to ToDevice once per output, port 0 last.
+// Here port 1 accepts and port 0 rejects, so every packet is delivered
+// accepted, then rejected. The per-packet verdict is the last delivery
+// ("rejected"); the batch path seals one frame set per accepted
+// delivery. Both must read the same whatever the lane count: a lane
+// sink that dropped rejected deliveries turned the per-packet verdict
+// into "accepted" at 4 lanes.
+TEST_F(EnclaveFixture, TeeFanOutVerdictsMatchAtEveryLaneCount) {
+  const std::string tee_config =
+      "from_device :: FromDevice;\n"
+      "to_device :: ToDevice;\n"
+      "t :: Tee(2);\n"
+      "from_device -> t;\n"
+      "t[0] -> [1]to_device;\n"
+      "t[1] -> [0]to_device;\n";
+  constexpr std::uint16_t kFlows = 16;
+  for (std::size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    World tee_world;
+    auto tee_bundle = tee_world.server.publish_config(2, tee_config, true, 0, 0);
+    ASSERT_TRUE(tee_bundle.ok());
+    EndBoxClientOptions options;
+    options.shards = lanes;
+    auto& enclave = tee_world.add_client(*tee_bundle, options).enclave();
+    ASSERT_EQ(enclave.shard_count(), lanes);
+    auto flow_packet = [&](std::uint16_t flow) {
+      net::Packet packet = tee_world.benign_packet(200);
+      packet.src_port = static_cast<std::uint16_t>(42000 + flow);
+      return packet;
+    };
+
+    std::set<std::size_t> touched;
+    for (std::uint16_t flow = 0; flow < kFlows; ++flow) {
+      net::Packet packet = flow_packet(flow);
+      touched.insert(click::shard_of(net::FlowKey::of(packet), lanes));
+      auto result = enclave.ecall_process_egress(std::move(packet));
+      ASSERT_TRUE(result.ok());
+      EXPECT_FALSE(result->accepted) << "flow " << flow;
+      EXPECT_TRUE(result->wire.empty());
+    }
+    EXPECT_EQ(touched.size(), lanes);
+    EXPECT_EQ(enclave.packets_rejected_by_click(), kFlows);
+
+    click::PacketBatch batch;
+    for (std::uint16_t flow = 0; flow < kFlows; ++flow)
+      batch.push_back(flow_packet(flow));
+    EgressBatch out;
+    ASSERT_TRUE(enclave.ecall_process_egress_batch(std::move(batch), out).ok());
+    EXPECT_EQ(out.accepted, kFlows);
+    EXPECT_EQ(out.rejected, 0u);
+    EXPECT_EQ(out.frame_count, kFlows);  // one frame per accepted delivery
+    EXPECT_EQ(enclave.packets_rejected_by_click(), kFlows);
+  }
 }
 
 TEST_F(EnclaveFixture, RulesetRegistrationIsEcall) {

@@ -189,11 +189,10 @@ TEST(ServerShard, SessionsPinToShardsAndBalance) {
 
 // The tentpole property: a mixed-session burst (in-order data, MTU
 // fragmentation, corrupt frames, replays, garbage, unknown sessions)
-// opens byte-identically at 1 lane, at 4 lanes, through the staged
-// reference path, and through the pre-sharding reference loop. One
-// lane and the staged path preserve exact arrival order; four lanes
-// surface the same packets in lane-concatenation order with per-session
-// order intact (the run-to-completion contract).
+// opens byte-identically at 1 lane, at 4 lanes, and through the
+// pre-sharding reference loop. One lane preserves exact arrival order;
+// four lanes surface the same packets in lane-concatenation order with
+// per-session order intact (the run-to-completion contract).
 TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   Pki pki;
   VpnServerConfig config;
@@ -201,19 +200,16 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
   constexpr std::size_t kSessions = 12;
   ServerRig one(pki, 1, kSessions, 0xabc123, config);
   ServerRig four(pki, 4, kSessions, 0xabc123, config);
-  ServerRig staged(pki, 4, kSessions, 0xabc123, config);
   ServerRig ref(pki, 1, kSessions, 0xabc123, config);
 
   Rng gen(0x900df00d);
-  VpnServer::OpenBatch out_one, out_four, out_staged, out_ref;
-  std::vector<Bytes> frames_one, frames_four, frames_staged, frames_ref;
-  Bytes replay_frame_one, replay_frame_four, replay_frame_staged,
-      replay_frame_ref;
+  VpnServer::OpenBatch out_one, out_four, out_ref;
+  std::vector<Bytes> frames_one, frames_four, frames_ref;
+  Bytes replay_frame_one, replay_frame_four, replay_frame_ref;
 
   for (int round = 0; round < 12; ++round) {
     frames_one.clear();
     frames_four.clear();
-    frames_staged.clear();
     frames_ref.clear();
     std::size_t packets = 3 + gen.uniform(0, 8);
     for (std::size_t p = 0; p < packets; ++p) {
@@ -223,17 +219,13 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
           payload, frames_one, frames_one.size());
       std::size_t n4 = four.clients[k].seal_packet_wire_at(
           payload, frames_four, frames_four.size());
-      std::size_t ns = staged.clients[k].seal_packet_wire_at(
-          payload, frames_staged, frames_staged.size());
       std::size_t nr = ref.clients[k].seal_packet_wire_at(
           payload, frames_ref, frames_ref.size());
       ASSERT_EQ(n1, n4);
-      ASSERT_EQ(n1, ns);
       ASSERT_EQ(n1, nr);
       // Twin clients must produce byte-identical wire frames — the
       // precondition for comparing the servers at all.
       ASSERT_EQ(frames_one.back(), frames_four.back());
-      ASSERT_EQ(frames_one.back(), frames_staged.back());
       ASSERT_EQ(frames_one.back(), frames_ref.back());
     }
     // Adversarial frames: corrupt a MAC, replay an old frame, inject
@@ -242,46 +234,36 @@ TEST(ServerShard, OpenBatchEquivalentAcrossShardCountsProperty) {
       std::size_t corrupt = gen.uniform(0, frames_one.size() - 1);
       frames_one[corrupt].back() ^= 0x01;
       frames_four[corrupt].back() ^= 0x01;
-      frames_staged[corrupt].back() ^= 0x01;
       frames_ref[corrupt].back() ^= 0x01;
       frames_one.push_back(replay_frame_one);
       frames_four.push_back(replay_frame_four);
-      frames_staged.push_back(replay_frame_staged);
       frames_ref.push_back(replay_frame_ref);
       Bytes junk = gen.bytes(gen.uniform(0, 40));
       frames_one.push_back(junk);
       frames_four.push_back(junk);
-      frames_staged.push_back(junk);
       frames_ref.push_back(junk);
       Bytes unknown = frames_one[0];
       put_u32(unknown.data() + 1, 0xdeadbeef);
       frames_one.push_back(unknown);
       frames_four.push_back(unknown);
-      frames_staged.push_back(unknown);
       frames_ref.push_back(unknown);
     }
     replay_frame_one = frames_one[0];
     replay_frame_four = frames_four[0];
-    replay_frame_staged = frames_staged[0];
     replay_frame_ref = frames_ref[0];
 
     one.server.open_batch(frames_one, 0, out_one);
     four.server.open_batch(frames_four, 0, out_four);
-    staged.server.open_batch_staged(frames_staged, 0, out_staged);
     ref.server.open_batch_reference(frames_ref, 0, out_ref);
-    // One lane = one FIFO ring: exact arrival order, identical to the
-    // pre-sharding reference loop.
+    // One lane = one work list in arrival order: exact arrival order,
+    // identical to the pre-sharding reference loop.
     expect_batches_equal(out_one, out_ref, "1-lane vs reference");
-    // The staged path still merges by burst_tag, so even at 4 shards it
-    // reproduces exact arrival order.
-    expect_batches_equal(out_staged, out_ref, "staged-4 vs reference");
     // Four lanes: same packets, lane-concatenation order, per-session
     // order intact.
     expect_batches_equivalent(out_one, out_four, "1-lane vs 4-lane");
     EXPECT_EQ(one.server.auth_failures(), four.server.auth_failures());
     EXPECT_EQ(one.server.replays_rejected(), four.server.replays_rejected());
     EXPECT_EQ(one.server.auth_failures(), ref.server.auth_failures());
-    EXPECT_EQ(one.server.auth_failures(), staged.server.auth_failures());
   }
   EXPECT_GT(one.server.replays_rejected(), 0u);
   EXPECT_GT(one.server.auth_failures(), 0u);
@@ -477,14 +459,14 @@ TEST(ServerShard, OpenBatchShardHookCoversTheWholeBurst) {
     rig.clients[static_cast<std::size_t>(p) % kSessions].seal_packet_wire_at(
         to_bytes("hook-2"), frames, frames.size());
 
-  // Opening shard by shard through the bench hook covers every frame
-  // exactly once, and the union of per-shard results equals one
+  // Opening lane by lane through the bench hook covers every frame
+  // exactly once, and the union of per-lane results equals one
   // open_batch on the twin.
   VpnServer::OpenBatch shard_out, twin_out;
   std::size_t complete = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> tagged;  // tag, session
   for (std::size_t s = 0; s < rig.server.session_shard_count(); ++s) {
-    rig.server.open_batch_shard(s, frames, 0, shard_out);
+    rig.server.open_batch_lane(s, frames, 0, shard_out);
     complete += shard_out.complete;
     for (std::size_t i = 0; i < shard_out.packet_count; ++i)
       tagged.emplace_back(shard_out.packets[i].burst_tag,

@@ -512,11 +512,6 @@ TEST_F(ShardedWorldFixture, EnclaveReshardMigratesLiveState) {
 
   auto counter_sum = [&]() -> std::uint64_t {
     const auto* sharded = enclave.sharded_router();
-    if (!sharded) {
-      auto* counter =
-          const_cast<click::Router*>(enclave.router())->find_as<click::Counter>("cnt");
-      return counter ? counter->packets() : 0;
-    }
     std::uint64_t total = 0;
     for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
       auto* counter = const_cast<click::Router&>(sharded->shard(s))
@@ -542,9 +537,9 @@ TEST_F(ShardedWorldFixture, EnclaveReshardMigratesLiveState) {
 }
 
 TEST_F(ShardedWorldFixture, ShardedRejectionsDoNotStarveTheMainPool) {
-  // Rejected packets recycle into the shard-local pools on the worker
-  // threads; those buffers must flow back into the main pool between
-  // bursts, or a workload with a nonzero drop rate slowly drains the
+  // Rejected packets come back from the lanes in their result lists;
+  // those buffers must flow back into the main pool between bursts, or
+  // a workload with a nonzero drop rate slowly drains the
   // ecall-boundary circulation and every acquire becomes a heap miss.
   testing::WorldOptions opts;
   testing::World world(opts);
