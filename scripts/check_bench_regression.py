@@ -16,7 +16,7 @@ Usage:
   check_bench_regression.py CURRENT.json [BASELINE.json ...]
       [--tolerance 0.15]
 With no baselines given, the checked-in BENCH_pr2.json through
-BENCH_pr13.json next to this script's repo root are used.
+BENCH_pr15.json next to this script's repo root are used.
 Exit code 1 on any regression.
 """
 
@@ -28,7 +28,7 @@ import sys
 DEFAULT_BASELINES = ["BENCH_pr2.json", "BENCH_pr3.json", "BENCH_pr4.json",
                      "BENCH_pr5.json", "BENCH_pr6.json", "BENCH_pr7.json",
                      "BENCH_pr8.json", "BENCH_pr9.json", "BENCH_pr10.json",
-                     "BENCH_pr12.json", "BENCH_pr13.json"]
+                     "BENCH_pr12.json", "BENCH_pr13.json", "BENCH_pr15.json"]
 
 
 def load_results(path):

@@ -60,11 +60,6 @@ class WireBuffer {
     std::memcpy(prepend(data.size()), data.data(), data.size());
   }
 
-  /// Ensures the tail can grow by `n` more bytes without reallocating.
-  void reserve_tail(std::size_t n) {
-    if (tail_ + n > buf_.size()) buf_.resize(tail_ + n);
-  }
-
   ByteView view() const { return ByteView(buf_.data() + head_, size()); }
   std::span<std::uint8_t> span() { return {buf_.data() + head_, size()}; }
   const std::uint8_t* data() const { return buf_.data() + head_; }

@@ -1,5 +1,6 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <stdexcept>
@@ -13,6 +14,12 @@
 #endif
 
 namespace endbox::crypto {
+
+/// Grants the mode functions access to an Aes128's round keys.
+struct AesRoundKeys {
+  static const std::uint8_t* enc(const Aes128& aes) { return aes.ek_.data(); }
+  static const std::uint8_t* dec(const Aes128& aes) { return aes.dk_.data(); }
+};
 
 namespace {
 
@@ -205,6 +212,12 @@ void cbc_encrypt_portable(const std::uint8_t* ek, const std::uint8_t* iv,
   }
 }
 
+void cbc_encrypt_multi_portable(const CbcJob* jobs, std::size_t n) {
+  for (const CbcJob& job : std::span(jobs, n))
+    cbc_encrypt_portable(AesRoundKeys::enc(*job.aes), job.iv, job.buf.data(),
+                         job.buf.size() / kAesBlockSize);
+}
+
 void cbc_decrypt_portable(const std::uint8_t* dk, const std::uint8_t* iv,
                           std::uint8_t* buf, std::size_t blocks) {
   std::uint8_t prev[kAesBlockSize];
@@ -239,9 +252,11 @@ void ctr_portable(const std::uint8_t* ek, const std::uint8_t* nonce,
 // Compiled per function for the aes target, so the binary still runs
 // on any x86-64; only called when cpuid reports AES-NI. The round keys
 // are the same byte-order schedule the portable path reads (dk_ already
-// carries InvMixColumns, which is what aesdec expects). CBC-encrypt is
-// a serial chain; CBC-decrypt and CTR have independent blocks, so they
-// keep four in flight to cover the aesenc/aesdec latency.
+// carries InvMixColumns, which is what aesdec expects). CBC-encrypt of
+// one buffer is a serial chain; CBC-decrypt and CTR have independent
+// blocks, so they keep four in flight to cover the aesenc/aesdec
+// latency, and the multi-buffer CBC-encrypt keeps four buffers' chains
+// in flight instead.
 
 #ifdef ENDBOX_AES_NI
 
@@ -345,6 +360,106 @@ ENDBOX_AES_TARGET void cbc_encrypt_ni(const std::uint8_t* ek,
   }
 }
 
+/// One chain of the multi-buffer CBC-encrypt: the job's round keys,
+/// its next block, the blocks it has left and the running ciphertext.
+struct CbcLane {
+  const std::uint8_t* rk;
+  std::uint8_t* p;
+  std::size_t left;
+  __m128i chain;
+};
+
+/// Advances L chains by `steps` blocks in lock-step. Each lane reads its
+/// own round keys from memory (four schedules do not fit the register
+/// file); L is a template argument so the lanes stay in registers and a
+/// narrow tail issues no dummy work.
+template <std::size_t L>
+ENDBOX_AES_TARGET inline void cbc_lanes_ni(CbcLane* lane, std::size_t steps) {
+  const std::uint8_t* k[L];
+  std::uint8_t* p[L];
+  __m128i c[L];
+#pragma GCC unroll 4
+  for (std::size_t l = 0; l < L; ++l) {
+    k[l] = lane[l].rk;
+    p[l] = lane[l].p;
+    c[l] = lane[l].chain;
+  }
+  for (std::size_t s = 0; s < steps; ++s) {
+    __m128i x[L];
+#pragma GCC unroll 4
+    for (std::size_t l = 0; l < L; ++l)
+      x[l] = _mm_xor_si128(_mm_xor_si128(load_block(p[l]), c[l]), load_block(k[l]));
+#pragma GCC unroll 9
+    for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t l = 0; l < L; ++l)
+        x[l] = _mm_aesenc_si128(x[l], load_block(k[l] + 16 * r));
+    }
+#pragma GCC unroll 4
+    for (std::size_t l = 0; l < L; ++l) {
+      c[l] = _mm_aesenclast_si128(x[l], load_block(k[l] + 160));
+      store_block(p[l], c[l]);
+      p[l] += kAesBlockSize;
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t l = 0; l < L; ++l) {
+    lane[l].p = p[l];
+    lane[l].left -= steps;
+    lane[l].chain = c[l];
+  }
+}
+
+/// Multi-buffer CBC-encrypt: up to four chains in flight, one per lane.
+/// The live lanes advance in lock-step for as many blocks as the
+/// shortest has left; then every lane whose job ended takes the next
+/// job, and once the jobs run out the finished lanes drop away, so the
+/// tail of a burst runs on fewer lanes rather than on idle ones.
+ENDBOX_AES_TARGET void cbc_encrypt_multi_ni(const CbcJob* jobs, std::size_t n) {
+  constexpr std::size_t kLanes = 4;
+  if (n == 1) {  // a burst of one is the single-buffer kernel
+    cbc_encrypt_ni(AesRoundKeys::enc(*jobs[0].aes), jobs[0].iv, jobs[0].buf.data(),
+                   jobs[0].buf.size() / kAesBlockSize);
+    return;
+  }
+  std::size_t next = 0;
+  auto start = [&](CbcLane& lane) {
+    const CbcJob& job = jobs[next++];
+    lane = {AesRoundKeys::enc(*job.aes), job.buf.data(),
+            job.buf.size() / kAesBlockSize, load_block(job.iv)};
+  };
+  CbcLane lane[kLanes] = {};
+  std::size_t live = 0;
+  while (live < kLanes && next < n) start(lane[live++]);
+  while (live > 0) {
+    std::size_t steps = lane[0].left;
+    for (std::size_t l = 1; l < live; ++l) steps = std::min(steps, lane[l].left);
+    switch (live) {
+      case 4: cbc_lanes_ni<4>(lane, steps); break;
+      case 3: cbc_lanes_ni<3>(lane, steps); break;
+      case 2: cbc_lanes_ni<2>(lane, steps); break;
+      default: {
+        // The last chain (the queue is empty): the single-buffer
+        // kernel, round keys in registers.
+        alignas(16) std::uint8_t chain[kAesBlockSize];
+        store_block(chain, lane[0].chain);
+        cbc_encrypt_ni(lane[0].rk, chain, lane[0].p, steps);
+        lane[0].left = 0;
+        break;
+      }
+    }
+    std::size_t kept = 0;
+    for (std::size_t l = 0; l < live; ++l) {
+      if (lane[l].left > 0) {
+        lane[kept++] = lane[l];
+      } else if (next < n) {
+        start(lane[kept++]);
+      }
+    }
+    live = kept;
+  }
+}
+
 ENDBOX_AES_TARGET void cbc_decrypt_ni(const std::uint8_t* dk,
                                       const std::uint8_t* iv,
                                       std::uint8_t* buf, std::size_t blocks) {
@@ -421,6 +536,7 @@ struct AesKernelSet {
   void (*decrypt_block)(const std::uint8_t* dk, const std::uint8_t* in, std::uint8_t* out);
   void (*cbc_encrypt)(const std::uint8_t* ek, const std::uint8_t* iv,
                       std::uint8_t* buf, std::size_t blocks);
+  void (*cbc_encrypt_multi)(const CbcJob* jobs, std::size_t n);
   void (*cbc_decrypt)(const std::uint8_t* dk, const std::uint8_t* iv,
                       std::uint8_t* buf, std::size_t blocks);
   void (*ctr)(const std::uint8_t* ek, const std::uint8_t* nonce,
@@ -428,11 +544,11 @@ struct AesKernelSet {
 };
 
 constexpr AesKernelSet kPortableAes{encrypt_block_portable, decrypt_block_portable,
-                                    cbc_encrypt_portable, cbc_decrypt_portable,
-                                    ctr_portable};
+                                    cbc_encrypt_portable, cbc_encrypt_multi_portable,
+                                    cbc_decrypt_portable, ctr_portable};
 #ifdef ENDBOX_AES_NI
 constexpr AesKernelSet kAesNi{encrypt_block_ni, decrypt_block_ni, cbc_encrypt_ni,
-                              cbc_decrypt_ni, ctr_ni};
+                              cbc_encrypt_multi_ni, cbc_decrypt_ni, ctr_ni};
 #endif
 
 const AesKernelSet* kernel_set(CryptoKernel kernel) {
@@ -464,12 +580,6 @@ bool pin_aes_kernel(CryptoKernel kernel) {
   selected().store(kernel_set(kernel), std::memory_order_relaxed);
   return true;
 }
-
-/// Grants the mode functions access to an Aes128's round keys.
-struct AesRoundKeys {
-  static const std::uint8_t* enc(const Aes128& aes) { return aes.ek_.data(); }
-  static const std::uint8_t* dec(const Aes128& aes) { return aes.dk_.data(); }
-};
 
 Aes128::Aes128(const AesKey& key) {
   std::array<std::uint32_t, 44> w;
@@ -510,15 +620,29 @@ AesKey make_aes_key(ByteView key) {
   return k;
 }
 
-void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
-                                std::span<std::uint8_t> buf,
-                                std::size_t plaintext_len) {
+namespace {
+
+/// Checks the padded size and writes the PKCS#7 padding.
+void cbc_pad(std::span<std::uint8_t> buf, std::size_t plaintext_len) {
   if (buf.size() != cbc_padded_size(plaintext_len))
     throw std::invalid_argument("CBC buffer must be the padded size");
   std::uint8_t pad = static_cast<std::uint8_t>(buf.size() - plaintext_len);
   for (std::size_t i = plaintext_len; i < buf.size(); ++i) buf[i] = pad;
+}
+
+}  // namespace
+
+void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
+                                std::span<std::uint8_t> buf,
+                                std::size_t plaintext_len) {
+  cbc_pad(buf, plaintext_len);
   kernels().cbc_encrypt(AesRoundKeys::enc(aes), iv, buf.data(),
                         buf.size() / kAesBlockSize);
+}
+
+void aes128_cbc_encrypt_multi(std::span<const CbcJob> jobs) {
+  for (const CbcJob& job : jobs) cbc_pad(job.buf, job.plaintext_len);
+  kernels().cbc_encrypt_multi(jobs.data(), jobs.size());
 }
 
 Result<std::size_t> aes128_cbc_decrypt_inplace(const Aes128& aes,

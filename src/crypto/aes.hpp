@@ -4,12 +4,20 @@
 // TLS record layer uses AES-128-CTR, and the SGX sealing format uses
 // AES-128-CTR with a sealing key derived from the measurement. Every
 // entry point dispatches once per call (crypto/kernel.hpp) to an AES-NI
-// kernel — serial CBC-encrypt, 4-way pipelined CBC-decrypt and CTR —
-// or to the portable 32-bit T-table cipher (four 1KB lookup tables per
-// direction, generated at compile time from the spec), which stays as
-// the fallback and the differential oracle. Both read one key
+// kernel or to the portable 32-bit T-table cipher (four 1KB lookup
+// tables per direction, generated at compile time from the spec), which
+// stays as the fallback and the differential oracle. Both read one key
 // schedule. Every mode has an in-place span variant so the VPN fast
 // path encrypts without allocating or copying.
+//
+// CBC-encrypt is a serial chain within one buffer, so the AES-NI kernel
+// for a single buffer waits out the aesenc latency on every block.
+// aes128_cbc_encrypt_multi takes a burst of independent buffers (each
+// with its own key, IV and length) and keeps four chains in flight,
+// one per lane, refilling a lane from the next buffer as soon as its
+// chain ends: the multi-buffer technique (Gueron & Krasnov; Intel's
+// multi-buffer crypto) applied to CBC. CBC-decrypt and CTR have
+// independent blocks within a buffer and pipeline four at a time.
 #pragma once
 
 #include <array>
@@ -63,6 +71,20 @@ inline constexpr std::size_t cbc_padded_size(std::size_t n) {
 void aes128_cbc_encrypt_inplace(const Aes128& aes, const std::uint8_t* iv,
                                 std::span<std::uint8_t> buf,
                                 std::size_t plaintext_len);
+
+/// One buffer of a multi-buffer CBC-encrypt burst, with the same
+/// contract as aes128_cbc_encrypt_inplace: `buf` holds
+/// cbc_padded_size(plaintext_len) bytes, the plaintext in front.
+struct CbcJob {
+  const Aes128* aes = nullptr;
+  const std::uint8_t* iv = nullptr;  ///< 16 bytes, outside every job's buf
+  std::span<std::uint8_t> buf;
+  std::size_t plaintext_len = 0;
+};
+
+/// Pads and CBC-encrypts every job in place, byte-identical to calling
+/// aes128_cbc_encrypt_inplace on each. Buffers must not overlap.
+void aes128_cbc_encrypt_multi(std::span<const CbcJob> jobs);
 
 /// In-place CBC decrypt + padding check; returns the plaintext length
 /// (the plaintext occupies the leading bytes of `buf`).

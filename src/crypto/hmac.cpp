@@ -15,10 +15,13 @@ HmacKey::HmacKey(ByteView key) {
     std::memcpy(k, key.data(), key.size());
   }
   std::uint8_t pad[kBlock];
+  Sha256 inner, outer;
   for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x36;
-  inner_.update(ByteView(pad, kBlock));
+  inner.update(ByteView(pad, kBlock));
   for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x5c;
-  outer_.update(ByteView(pad, kBlock));
+  outer.update(ByteView(pad, kBlock));
+  inner_ = inner.state();
+  outer_ = outer.state();
 }
 
 Sha256Digest HmacKey::Mac::finish() {
@@ -27,8 +30,14 @@ Sha256Digest HmacKey::Mac::finish() {
   return outer_.finish();
 }
 
-Sha256Digest HmacKey::mac(ByteView data) const {
+Sha256Digest HmacKey::mac(ByteView prefix, ByteView data) const {
+  Sha256Digest d;
+  if (prefix.size() < kBlock) {
+    sha256_hmac(inner_, outer_, prefix, data, d.data());
+    return d;
+  }
   Mac m = begin();
+  m.update(prefix);
   m.update(data);
   return m.finish();
 }

@@ -1,14 +1,15 @@
 // Runtime selection between the hardware crypto kernels (AES-NI for
-// AES-128 block/CBC/CTR, SHA-NI for the SHA-256 compression) and the
-// portable ones (T-table AES, scalar SHA-256), which stay as the
-// fallback for CPUs without the instructions and as the differential
-// oracle in tests.
+// AES-128 block/CBC/CTR and the multi-buffer CBC-encrypt, SHA-NI for
+// the SHA-256 compression and the one-call HMAC) and the portable ones
+// (T-table AES, scalar SHA-256), which stay as the fallback for CPUs
+// without the instructions and as the differential oracle in tests.
 //
 // The selection is made once per process, on first use: Hardware when
 // the CPU has the instructions and ENDBOX_FORCE_SCALAR is unset (see
 // common/cpu_features.hpp). Every entry point dispatches once per
-// buffer, so the CBC/CTR and multi-block SHA loops run inside one
-// kernel and keep their pipelining.
+// buffer, burst or MAC, so the CBC/CTR loops, the multi-buffer lanes
+// and the blocks of one HMAC run inside one kernel and keep their
+// pipelining.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +18,11 @@ namespace endbox::crypto {
 
 enum class CryptoKernel : std::uint8_t { Portable, Hardware };
 
-/// Kernel the AES-128 entry points (Aes128 block calls, CBC, CTR) run.
+/// Kernel the AES-128 entry points (Aes128 block calls, CBC, the
+/// multi-buffer CBC-encrypt, CTR) run.
 CryptoKernel aes_kernel();
-/// Kernel Sha256::update compresses whole blocks with.
+/// Kernel Sha256::update compresses whole blocks with, and the kernel
+/// sha256_hmac (HmacKey::mac) runs.
 CryptoKernel sha256_kernel();
 
 /// Overrides the selection process-wide, so tests and benches can run

@@ -241,21 +241,16 @@ Result<EgressResult> EndBoxEnclave::ecall_process_egress(net::Packet packet) {
     ++rejected_;
     return result;
   }
-  if (options_.c2c_flagging) outcome.packet.set_processed_flag();
-  outcome.packet.decrypted_payload.clear();  // never leaks out of the enclave
-  outcome.packet.serialize_into(egress_packet_scratch_);
-  session_->seal_packet_wire(egress_packet_scratch_, result.wire);
+  stage_egress_packet(outcome.packet, 0);
+  session_->seal_packet_wire(egress_staged_[0], result.wire);
   return result;
 }
 
-void EndBoxEnclave::seal_egress_packet(net::Packet&& packet, EgressBatch& out) {
+void EndBoxEnclave::stage_egress_packet(net::Packet& packet, std::size_t slot) {
+  if (slot == egress_staged_.size()) egress_staged_.emplace_back();
   if (options_.c2c_flagging) packet.set_processed_flag();
   packet.decrypted_payload.clear();  // never leaks out of the enclave
-  packet.serialize_into(egress_packet_scratch_);
-  out.frame_count = session_->seal_packet_wire_at(egress_packet_scratch_,
-                                                  out.frames, out.frame_count);
-  ++out.accepted;
-  pool_.release(std::move(packet));
+  packet.serialize_into(egress_staged_[slot]);
 }
 
 Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
@@ -276,14 +271,18 @@ Status EndBoxEnclave::ecall_process_egress_batch(click::PacketBatch&& batch,
     rejected_ += offered;
     return {};
   }
+  // Collect the accepted packets, then seal them as one burst: one
+  // multi-buffer CBC-encrypt across every frame of the burst.
+  std::size_t staged = 0;
   for (ClickOutcome& outcome : click_results_) {
-    if (!outcome.accepted) {
-      pool_.release(std::move(outcome.packet));
-      continue;
-    }
-    seal_egress_packet(std::move(outcome.packet), out);
+    if (outcome.accepted) stage_egress_packet(outcome.packet, staged++);
+    pool_.release(std::move(outcome.packet));
   }
   click_results_.clear();
+  egress_views_.assign(egress_staged_.begin(),
+                       egress_staged_.begin() + static_cast<std::ptrdiff_t>(staged));
+  out.frame_count = session_->seal_batch(egress_views_, out.frames, 0);
+  out.accepted = static_cast<std::uint32_t>(staged);
   // Packets that never reached ToDevice (discarded mid-graph) count as
   // rejected, like the per-packet path's empty-verdict case.
   out.rejected = offered > out.accepted ? offered - out.accepted : 0;

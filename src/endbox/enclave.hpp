@@ -152,8 +152,10 @@ class EndBoxEnclave : public sgx::Enclave {
 
   // ---- Batched data path (one ecall per burst) -------------------------
   /// Pushes a whole burst through the middlebox functions with one
-  /// enclave transition and one virtual call per element, sealing the
-  /// accepted packets into `out`. Input packet buffers are recycled
+  /// enclave transition and one virtual call per element, then seals
+  /// the accepted packets into `out` as one burst
+  /// (VpnClientSession::seal_batch); the frames are byte-identical to
+  /// sealing the packets one at a time. Input packet buffers are recycled
   /// into packet_pool(); `out`'s frame buffers are reused across calls,
   /// so the steady-state egress burst performs no heap allocation.
   Status ecall_process_egress_batch(click::PacketBatch&& batch, EgressBatch& out);
@@ -255,8 +257,10 @@ class EndBoxEnclave : public sgx::Enclave {
   void ensure_shard_rigs(std::size_t count);
   /// Factory building lane i's router from lane i's registry.
   click::ShardedRouter::RouterFactory shard_router_factory();
-  /// Seals one accepted packet into `out` and recycles its buffers.
-  void seal_egress_packet(net::Packet&& packet, EgressBatch& out);
+  /// Clears what must not leave the enclave, sets the QoS flag and
+  /// serialises an accepted packet into egress_staged_[slot] (slot <=
+  /// size; the list grows by one at most).
+  void stage_egress_packet(net::Packet& packet, std::size_t slot);
 
   Rng& rng_;
   crypto::RsaPublicKey ca_public_key_;
@@ -281,7 +285,10 @@ class EndBoxEnclave : public sgx::Enclave {
   std::vector<ClickOutcome> click_results_;
   click::PacketBatch ingress_stage_;  ///< pre-Click staging for ingress bursts
   net::PacketPool pool_;
-  Bytes egress_packet_scratch_;  ///< reused for egress serialisation
+  /// Serialised accepted packets of the egress burst being sealed (one
+  /// per packet, capacity reused), and views of them for seal_batch.
+  std::vector<Bytes> egress_staged_;
+  std::vector<ByteView> egress_views_;
   std::uint64_t rejected_ = 0;
   std::uint64_t c2c_bypassed_ = 0;
 };

@@ -92,31 +92,18 @@ Status VpnClientSession::process_handshake_reply(const WireMessage& reply) {
   }
 }
 
-// Seals one fragment slice into `scratch`: [frag][iv][ct][mac] or the
-// integrity-only layout, per the session config.
-MsgType VpnClientSession::seal_fragment(const FragmentHeader& frag,
-                                        ByteView slice, WireBuffer& scratch) {
-  if (config_.encrypt_data) {
-    seal_data_body(*keys_, frag, slice, rng_, scratch);
-    return MsgType::Data;
-  }
-  seal_integrity_body(*keys_, frag, slice, scratch);
-  return MsgType::DataIntegrityOnly;
-}
-
 std::vector<WireMessage> VpnClientSession::seal_packet(ByteView ip_packet) {
   if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  std::vector<WireMessage> messages;
-  messages.reserve(fragment_count(ip_packet.size(), config_.mtu));
+  std::vector<WireMessage> messages(fragment_count(ip_packet.size(), config_.mtu));
+  Rng* iv_rng = iv_stream();
+  SealBurst burst;
   for_each_fragment(
       ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
       [&](const FragmentHeader& frag, ByteView slice) {
-        WireMessage msg;
-        msg.session_id = session_id_;
-        msg.type = seal_fragment(frag, slice, seal_scratch_);
-        msg.body.assign(seal_scratch_.view().begin(), seal_scratch_.view().end());
-        messages.push_back(std::move(msg));
+        burst.add_message(session_id_, *keys_, iv_rng, frag, slice,
+                          messages[frag.index]);
       });
+  burst.flush();
   ++packets_sealed_;
   return messages;
 }
@@ -130,23 +117,31 @@ void VpnClientSession::seal_packet_wire(ByteView ip_packet,
 std::size_t VpnClientSession::seal_packet_wire_at(ByteView ip_packet,
                                                   std::vector<Bytes>& frames,
                                                   std::size_t at) {
+  return seal_batch({&ip_packet, 1}, frames, at);
+}
+
+std::size_t VpnClientSession::seal_batch(std::span<const ByteView> ip_packets,
+                                         std::vector<Bytes>& frames,
+                                         std::size_t at) {
   if (!keys_) throw std::logic_error("VpnClientSession: not established");
-  std::size_t count = for_each_fragment(
-      ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
-      [&](const FragmentHeader& frag, ByteView slice) {
-        MsgType type = seal_fragment(frag, slice, seal_scratch_);
-        // The wire header goes into the headroom the seal left
-        // reserved, so the frame is contiguous without assembly copies.
-        std::uint8_t* header = seal_scratch_.prepend(kWireHeaderSize);
-        header[0] = static_cast<std::uint8_t>(type);
-        put_u32(header + 1, session_id_);
-        std::size_t slot = at + frag.index;
-        if (frames.size() <= slot) frames.emplace_back();
-        frames[slot].assign(seal_scratch_.view().begin(),
-                            seal_scratch_.view().end());
-      });
-  ++packets_sealed_;
-  return at + count;
+  std::size_t total = 0;
+  for (ByteView ip_packet : ip_packets)
+    total += fragment_count(ip_packet.size(), config_.mtu);
+  if (frames.size() < at + total) frames.resize(at + total);
+  Rng* iv_rng = iv_stream();
+  SealBurst burst;
+  for (ByteView ip_packet : ip_packets) {
+    std::size_t count = for_each_fragment(
+        ip_packet, config_.mtu, next_packet_id_, next_frag_id_++,
+        [&](const FragmentHeader& frag, ByteView slice) {
+          burst.add_frame(session_id_, *keys_, iv_rng, frag, slice,
+                          frames[at + frag.index]);
+        });
+    at += count;
+  }
+  burst.flush();
+  packets_sealed_ += ip_packets.size();
+  return at;
 }
 
 Result<std::optional<Bytes>> VpnClientSession::open_body(MsgType type,
@@ -200,13 +195,12 @@ void VpnClientSession::create_ping_wire(Bytes& frame) {
   info.seq = next_ping_seq_++;
   info.config_version = config_.config_version;
   info.grace_period_secs = 0;
-  // Same scratch discipline as the data path: body sealed into the
-  // session buffer, wire header prepended into its headroom.
-  seal_ping_body(*keys_, info, seal_scratch_);
-  std::uint8_t* header = seal_scratch_.prepend(kWireHeaderSize);
-  header[0] = static_cast<std::uint8_t>(MsgType::Ping);
-  put_u32(header + 1, session_id_);
-  frame.assign(seal_scratch_.view().begin(), seal_scratch_.view().end());
+  // Sealed in place behind the wire header; reusing `frame` keeps the
+  // control path allocation-free.
+  frame.resize(kWireHeaderSize + kPingBodySize);
+  frame[0] = static_cast<std::uint8_t>(MsgType::Ping);
+  put_u32(frame.data() + 1, session_id_);
+  seal_ping_body(*keys_, info, frame.data() + kWireHeaderSize);
 }
 
 Result<PingInfo> VpnClientSession::process_ping(const WireMessage& msg) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ca/certificate.hpp"
@@ -44,8 +45,8 @@ class VpnClientSession {
   /// the MTU). Throws if not established.
   std::vector<WireMessage> seal_packet(ByteView ip_packet);
   /// Seals one IP packet directly into complete wire frames
-  /// ([type][session_id][sealed body]), writing through the per-session
-  /// scratch buffer. `frames` is resized to the fragment count and each
+  /// ([type][session_id][sealed body]), each sealed in place in its
+  /// frame. `frames` is resized to the fragment count and each
   /// element's capacity is reused, so steady-state calls with stable
   /// packet sizes perform no heap allocation.
   void seal_packet_wire(ByteView ip_packet, std::vector<Bytes>& frames);
@@ -54,8 +55,16 @@ class VpnClientSession {
   /// slots and reusing existing slots' capacity. Returns the index one
   /// past the last frame written, so callers chain packets:
   /// `n = seal_packet_wire_at(p0, frames, 0); n = seal_packet_wire_at(p1, frames, n);`
+  /// This is seal_batch with one packet.
   std::size_t seal_packet_wire_at(ByteView ip_packet, std::vector<Bytes>& frames,
                                   std::size_t at);
+  /// Seals a run of IP packets into `frames[at..]` (same slot contract
+  /// as seal_packet_wire_at) as one burst (vpn::SealBurst): one
+  /// multi-buffer CBC-encrypt across all their fragments, then one MAC
+  /// per frame. Frames are byte-identical to sealing the packets one at
+  /// a time. Returns one past the last frame written.
+  std::size_t seal_batch(std::span<const ByteView> ip_packets,
+                         std::vector<Bytes>& frames, std::size_t at = 0);
   /// Opens a data message from the server; returns the reassembled IP
   /// packet when a fragment group completes, nullopt while pending.
   Result<std::optional<Bytes>> open_data(const WireMessage& msg);
@@ -68,9 +77,8 @@ class VpnClientSession {
 
   // ---- Control channel --------------------------------------------------
   WireMessage create_ping();
-  /// Seals a ping directly into a complete wire frame through the
-  /// per-session scratch; reusing `frame` makes the control path
-  /// allocation-free in steady state.
+  /// Seals a ping directly into a complete wire frame; reusing `frame`
+  /// makes the control path allocation-free in steady state.
   void create_ping_wire(Bytes& frame);
   Result<PingInfo> process_ping(const WireMessage& msg);
 
@@ -92,8 +100,8 @@ class VpnClientSession {
   std::uint16_t negotiated_version() const { return negotiated_version_; }
 
  private:
-  MsgType seal_fragment(const FragmentHeader& frag, ByteView slice,
-                        WireBuffer& scratch);
+  /// IV source of data seals: the session Rng, or null (integrity-only).
+  Rng* iv_stream() { return config_.encrypt_data ? &rng_ : nullptr; }
   /// Shared open core: verify/decrypt `body` in place, replay-check,
   /// reassemble. `body` is consumed (its buffer becomes the payload).
   Result<std::optional<Bytes>> open_body(MsgType type, Bytes&& body);
@@ -115,7 +123,6 @@ class VpnClientSession {
   std::uint64_t next_ping_seq_ = 1;
   ReplayWindow replay_;
   Reassembler reassembler_;
-  WireBuffer seal_scratch_;  ///< reused by the seal fast path
 
   std::uint64_t packets_sealed_ = 0;
   std::uint64_t packets_opened_ = 0;

@@ -306,20 +306,15 @@ std::vector<WireMessage> VpnServer::seal_packet(std::uint32_t session_id,
                                                 ByteView ip_packet) {
   Session* session = find_session(session_id);
   if (!session) throw std::logic_error("VpnServer: unknown session");
-  std::vector<WireMessage> messages;
-  messages.reserve(fragment_count(ip_packet.size(), config_.mtu));
+  std::vector<WireMessage> messages(fragment_count(ip_packet.size(), config_.mtu));
+  SealBurst burst;
   for_each_fragment(
       ip_packet, config_.mtu, session->next_packet_id, session->next_frag_id++,
       [&](const FragmentHeader& frag, ByteView slice) {
-        WireMessage msg;
-        msg.type = MsgType::Data;
-        msg.session_id = session_id;
-        seal_data_body(session->keys, frag, slice, session->iv_rng,
-                       session->seal_scratch);
-        msg.body.assign(session->seal_scratch.view().begin(),
-                        session->seal_scratch.view().end());
-        messages.push_back(std::move(msg));
+        burst.add_message(session_id, session->keys, &session->iv_rng, frag, slice,
+                          messages[frag.index]);
       });
+  burst.flush();
   return messages;
 }
 
@@ -332,21 +327,12 @@ void VpnServer::seal_packet_wire(std::uint32_t session_id, ByteView ip_packet,
 std::size_t VpnServer::seal_fragments(std::uint32_t session_id, Session& session,
                                       ByteView ip_packet,
                                       std::vector<Bytes>& frames, std::size_t at,
-                                      bool may_grow) {
+                                      SealBurst& burst) {
   std::size_t count = for_each_fragment(
       ip_packet, config_.mtu, session.next_packet_id, session.next_frag_id++,
       [&](const FragmentHeader& frag, ByteView slice) {
-        seal_data_body(session.keys, frag, slice, session.iv_rng,
-                       session.seal_scratch);
-        std::uint8_t* header = session.seal_scratch.prepend(kWireHeaderSize);
-        header[0] = static_cast<std::uint8_t>(MsgType::Data);
-        put_u32(header + 1, session_id);
-        std::size_t slot = at + frag.index;
-        // Workers write into pre-sized disjoint slot ranges; only the
-        // single-threaded callers may grow the vector.
-        if (may_grow && frames.size() <= slot) frames.emplace_back();
-        frames[slot].assign(session.seal_scratch.view().begin(),
-                            session.seal_scratch.view().end());
+        burst.add_frame(session_id, session.keys, &session.iv_rng, frag, slice,
+                        frames[at + frag.index]);
       });
   return at + count;
 }
@@ -355,10 +341,7 @@ std::size_t VpnServer::seal_packet_wire_at(std::uint32_t session_id,
                                            ByteView ip_packet,
                                            std::vector<Bytes>& frames,
                                            std::size_t at) {
-  Session* session = find_session(session_id);
-  if (!session) throw std::logic_error("VpnServer: unknown session");
-  return seal_fragments(session_id, *session, ip_packet, frames, at,
-                        /*may_grow=*/true);
+  return seal_batch(session_id, {&ip_packet, 1}, frames, at);
 }
 
 void VpnServer::open_frame_on_shard(SessionShard& shard, const Bytes& wire,
@@ -619,6 +602,13 @@ void VpnServer::open_batch_lane(std::size_t lane, std::span<const Bytes> wires,
   append_lane(target, out);
 }
 
+std::optional<VpnServer::SealState> VpnServer::seal_state(std::uint32_t session_id) {
+  Session* session = find_session(session_id);
+  if (!session) return std::nullopt;
+  return SealState{session->keys, session->iv_rng, session->next_packet_id,
+                   session->next_frag_id};
+}
+
 void VpnServer::reset_replay_windows() {
   for (auto& shard : shards_)
     shard->sessions.for_each(
@@ -628,8 +618,16 @@ void VpnServer::reset_replay_windows() {
 std::size_t VpnServer::seal_batch(std::uint32_t session_id,
                                   std::span<const ByteView> ip_packets,
                                   std::vector<Bytes>& frames, std::size_t at) {
+  Session* session = find_session(session_id);
+  if (!session) throw std::logic_error("VpnServer: unknown session");
+  std::size_t total = 0;
   for (ByteView ip_packet : ip_packets)
-    at = seal_packet_wire_at(session_id, ip_packet, frames, at);
+    total += fragment_count(ip_packet.size(), config_.mtu);
+  if (frames.size() < at + total) frames.resize(at + total);
+  SealBurst burst;
+  for (ByteView ip_packet : ip_packets)
+    at = seal_fragments(session_id, *session, ip_packet, frames, at, burst);
+  burst.flush();
   return at;
 }
 
@@ -653,11 +651,13 @@ std::size_t VpnServer::stage_seal_jobs(std::span<const SealJob> jobs,
 
 void VpnServer::seal_lane(SessionShard& shard, std::span<const SealJob> jobs,
                           std::vector<Bytes>& frames) {
+  SealBurst burst;
   for (std::uint32_t j : shard.work) {
     Session& session = shard.sessions.find(jobs[j].session_id)->value;
     seal_fragments(jobs[j].session_id, session, jobs[j].ip_packet, frames,
-                   seal_bases_[j], /*may_grow=*/false);
+                   seal_bases_[j], burst);
   }
+  burst.flush();
 }
 
 std::size_t VpnServer::seal_jobs(std::span<const SealJob> jobs,
@@ -692,7 +692,7 @@ Status VpnServer::reshard_sessions(std::size_t new_shards) {
   for (std::size_t o = 0; o < shards_.size(); ++o) {
     SessionShard& old_shard = *shards_[o];
     // Sessions move wholesale to the shard their id now hashes to:
-    // keys, replay window, pending fragment groups and seal scratch all
+    // keys, replay window, pending fragment groups and IV stream all
     // travel, so in-flight reassembly and anti-replay survive the
     // transition (the lossless property the adaptive controller needs).
     // Activity stamps travel too, and insert_migrated re-arms each

@@ -121,14 +121,15 @@ class VpnServer {
 
   /// Seals an IP packet towards a client session.
   std::vector<WireMessage> seal_packet(std::uint32_t session_id, ByteView ip_packet);
-  /// Seals an IP packet directly into complete wire frames via the
-  /// session's scratch buffer (steady-state allocation-free; see
+  /// Seals an IP packet directly into complete wire frames, each
+  /// sealed in place (steady-state allocation-free; see
   /// VpnClientSession::seal_packet_wire).
   void seal_packet_wire(std::uint32_t session_id, ByteView ip_packet,
                         std::vector<Bytes>& frames);
   /// Batch-append variant mirroring VpnClientSession::seal_packet_wire_at:
   /// writes this packet's frames at `frames[at..]`, reusing slot
   /// capacity, and returns the index one past the last frame written.
+  /// This is seal_batch with one packet.
   std::size_t seal_packet_wire_at(std::uint32_t session_id, ByteView ip_packet,
                                   std::vector<Bytes>& frames, std::size_t at);
 
@@ -196,10 +197,20 @@ class VpnServer {
   /// pre-sealed burst can be opened repeatedly for timing.
   void reset_replay_windows();
 
+  /// A copy of one session's seal state: what a body-at-a-time oracle
+  /// needs to reproduce the session's next frames byte for byte.
+  struct SealState {
+    SessionKeys keys;
+    Rng iv_rng{0};
+    std::uint64_t next_packet_id = 0;
+    std::uint32_t next_frag_id = 0;
+  };
+  /// Test hook: the seal state of `session_id`, or nullopt when unknown.
+  std::optional<SealState> seal_state(std::uint32_t session_id);
+
   /// Seals a run of IP packets to one session, appending each packet's
-  /// frames at `frames[at..]` with slot-capacity reuse (the batched
-  /// counterpart of seal_packet_wire_at). Returns one past the last
-  /// frame written.
+  /// frames at `frames[at..]` with slot-capacity reuse, as one burst
+  /// (vpn::SealBurst). Returns one past the last frame written.
   std::size_t seal_batch(std::uint32_t session_id,
                          std::span<const ByteView> ip_packets,
                          std::vector<Bytes>& frames, std::size_t at = 0);
@@ -212,13 +223,16 @@ class VpnServer {
   /// Seals a burst of packets spanning any number of sessions: the
   /// caller computes every job's fragment count and output slot range
   /// up front (so `frames` is sized once and jobs never contend for
-  /// slots), appends each job to its session's lane, and the busy
-  /// lanes seal run-to-completion —
-  /// each job's frames land at its precomputed `frames` range, so the
-  /// output is byte-identical at any lane count and preserves input
-  /// order. Returns the total frame count. Throws std::logic_error on
-  /// unknown sessions (validated on the caller before any lane
-  /// starts, as the disjoint-slot computation requires).
+  /// slots), appends each job to its session's lane, and each busy
+  /// lane seals its jobs as one burst (vpn::SealBurst: IVs drawn per
+  /// session in job order, one multi-buffer CBC-encrypt across the
+  /// lane's frames, one MAC per frame), writing every frame in place
+  /// at its precomputed `frames` slot. The output is byte-identical at
+  /// any lane count, and to sealing the jobs one at a time, and
+  /// preserves input order. Returns the total frame count. Throws
+  /// std::logic_error on unknown sessions (validated on the caller
+  /// before any lane starts, as the disjoint-slot computation
+  /// requires).
   std::size_t seal_jobs(std::span<const SealJob> jobs, std::vector<Bytes>& frames);
 
   /// Bench/test hook: seals only the jobs pinned to `shard`, inline on
@@ -271,7 +285,7 @@ class VpnServer {
 
   /// Changes the session-shard count at runtime: every session moves
   /// wholesale to the shard its id now hashes to — keys, replay
-  /// window, pending fragment groups and seal scratch intact — pooled
+  /// window, pending fragment groups and IV stream intact — pooled
   /// buffers are adopted into the new shards, and per-shard statistics
   /// fold into the new shard set, so nothing is lost or double-counted
   /// across the transition. The worker pool is reused when shrinking
@@ -374,7 +388,6 @@ class VpnServer {
     std::uint64_t next_packet_id = 1;
     std::uint32_t next_frag_id = 1;
     std::uint64_t next_ping_seq = 1;
-    WireBuffer seal_scratch;  ///< reused by the seal fast path
   };
   /// Bounded per-shard session store: open addressing under the
   /// configured capacity, generation-stamped slots, idle expiry via
@@ -446,12 +459,12 @@ class VpnServer {
   /// pool, so a hot lane adopts circulating buffers instead of
   /// allocating silently forever (runs single-threaded between bursts).
   void rebalance_lane_pools();
-  /// Seals one packet's fragments for `session` into frames[at..]; when
-  /// `may_grow` is false the caller pre-sized `frames` and slots are
-  /// written without touching the vector itself (worker-safe).
+  /// Adds one packet's fragments for `session` to `burst`, framed into
+  /// frames[at..] (which the caller sized, so a lane worker never
+  /// touches the vector itself). Returns one past the last slot.
   std::size_t seal_fragments(std::uint32_t session_id, Session& session,
                              ByteView ip_packet, std::vector<Bytes>& frames,
-                             std::size_t at, bool may_grow);
+                             std::size_t at, SealBurst& burst);
   /// Stages `jobs` (validating sessions, computing slot ranges and the
   /// per-lane work lists) and returns the total frame count;
   /// seal_bases_ receives each job's first output slot.

@@ -9,14 +9,15 @@ inline ByteView label_view(std::string_view label) {
                   label.size());
 }
 
-// MAC over `label || data` from the session's precomputed HMAC state;
-// everything stays on the stack.
+constexpr std::string_view kDataLabel = "data";
+constexpr std::string_view kIntegLabel = "integ";
+constexpr std::string_view kPingLabel = "ping";
+
+// MAC over `label || data` in one kernel call from the session's
+// precomputed HMAC midstates; everything stays on the stack.
 crypto::Sha256Digest mac_over(const SessionKeys& keys, std::string_view label,
                               ByteView data) {
-  auto mac = keys.hmac().begin();
-  mac.update(label_view(label));
-  mac.update(data);
-  return mac.finish();
+  return keys.hmac().mac(label_view(label), data);
 }
 
 void write_frag(std::uint8_t* p, const FragmentHeader& frag) {
@@ -33,11 +34,6 @@ FragmentHeader read_frag(const std::uint8_t* p) {
   frag.index = get_u16(p + 12);
   frag.count = get_u16(p + 14);
   return frag;
-}
-
-void append_mac(const SessionKeys& keys, std::string_view label, WireBuffer& out) {
-  crypto::Sha256Digest mac = mac_over(keys, label, out.view());
-  std::memcpy(out.append(kMacSize), mac.data(), kMacSize);
 }
 
 bool check_mac(const SessionKeys& keys, std::string_view label, ByteView body) {
@@ -82,30 +78,76 @@ SessionKeys derive_vpn_keys(std::uint64_t seed, ByteView client_nonce,
   return keys;
 }
 
+void SealBurst::add(const SessionKeys& keys, Rng* iv_rng,
+                    const FragmentHeader& frag, ByteView payload,
+                    std::uint8_t* out) {
+  write_frag(out, frag);
+  std::uint8_t* data = out + kFragHeaderSize;
+  std::size_t authed_len = kFragHeaderSize + payload.size();
+  if (iv_rng) {
+    // [iv][payload + PKCS#7 padding]: the IV is drawn now, in burst
+    // order, so the IV stream matches a body-at-a-time seal.
+    iv_rng->fill({data, 16});
+    const std::size_t padded = crypto::cbc_padded_size(payload.size());
+    cbc_[cbc_count_++] = {&keys.aes(), data, {data + 16, padded}, payload.size()};
+    data += 16;
+    authed_len = kFragHeaderSize + 16 + padded;
+  }
+  if (!payload.empty()) std::memcpy(data, payload.data(), payload.size());
+  macs_[mac_count_++] = {&keys.hmac(), label_view(iv_rng ? kDataLabel : kIntegLabel),
+                         out, authed_len};
+  if (mac_count_ == kCapacity) flush();
+}
+
+void SealBurst::add_frame(std::uint32_t session_id, const SessionKeys& keys,
+                          Rng* iv_rng, const FragmentHeader& frag,
+                          ByteView payload, Bytes& frame) {
+  frame.resize(kWireHeaderSize + sealed_body_size(payload.size(), iv_rng != nullptr));
+  frame[0] = static_cast<std::uint8_t>(iv_rng ? MsgType::Data : MsgType::DataIntegrityOnly);
+  put_u32(frame.data() + 1, session_id);
+  add(keys, iv_rng, frag, payload, frame.data() + kWireHeaderSize);
+}
+
+void SealBurst::add_message(std::uint32_t session_id, const SessionKeys& keys,
+                            Rng* iv_rng, const FragmentHeader& frag,
+                            ByteView payload, WireMessage& msg) {
+  msg.type = iv_rng ? MsgType::Data : MsgType::DataIntegrityOnly;
+  msg.session_id = session_id;
+  msg.body.resize(sealed_body_size(payload.size(), iv_rng != nullptr));
+  add(keys, iv_rng, frag, payload, msg.body.data());
+}
+
+void SealBurst::flush() {
+  if (cbc_count_ > 0) crypto::aes128_cbc_encrypt_multi({cbc_.data(), cbc_count_});
+  for (const PendingMac& m : std::span(macs_.data(), mac_count_)) {
+    crypto::Sha256Digest mac = m.key->mac(m.label, ByteView(m.body, m.authed_len));
+    std::memcpy(m.body + m.authed_len, mac.data(), kMacSize);
+  }
+  cbc_count_ = mac_count_ = 0;
+}
+
+namespace {
+
+// A burst of one body, sealed into `out` behind kSealHeadroom.
+void seal_one(const SessionKeys& keys, Rng* iv_rng, const FragmentHeader& frag,
+              ByteView payload, WireBuffer& out) {
+  out.reset(kSealHeadroom);
+  SealBurst burst;
+  burst.add(keys, iv_rng, frag, payload,
+            out.append(sealed_body_size(payload.size(), iv_rng != nullptr)));
+  burst.flush();
+}
+
+}  // namespace
+
 void seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
                     ByteView payload, Rng& rng, WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  // Ciphertext first (payload padded and encrypted in place at the
-  // buffer's data offset), then IV and fragment header prepended into
-  // headroom, then the MAC appended — no intermediate buffers.
-  std::size_t padded = crypto::cbc_padded_size(payload.size());
-  out.reserve_tail(padded + kMacSize);
-  std::uint8_t* ct = out.append(padded);
-  if (!payload.empty()) std::memcpy(ct, payload.data(), payload.size());
-  std::uint8_t* iv = out.prepend(16);
-  rng.fill({iv, 16});
-  crypto::aes128_cbc_encrypt_inplace(keys.aes(), iv, {ct, padded}, payload.size());
-  write_frag(out.prepend(kFragHeaderSize), frag);
-  append_mac(keys, "data", out);
+  seal_one(keys, &rng, frag, payload, out);
 }
 
 void seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
                          ByteView payload, WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  out.reserve_tail(payload.size() + kMacSize);
-  out.append(payload);
-  write_frag(out.prepend(kFragHeaderSize), frag);
-  append_mac(keys, "integ", out);
+  seal_one(keys, nullptr, frag, payload, out);
 }
 
 Bytes seal_data_body(const SessionKeys& keys, const FragmentHeader& frag,
@@ -125,7 +167,7 @@ Bytes seal_integrity_body(const SessionKeys& keys, const FragmentHeader& frag,
 Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body) {
   if (body.size() < kFragHeaderSize + 16 + kMacSize)
     return err("data body: too short");
-  if (!check_mac(keys, "data", body))
+  if (!check_mac(keys, kDataLabel, body))
     return err("data body: MAC verification failed");
 
   OpenedBody opened;
@@ -143,7 +185,7 @@ Result<OpenedBody> open_data_body(const SessionKeys& keys, Bytes&& body) {
 Result<OpenedBody> open_integrity_body(const SessionKeys& keys, Bytes&& body) {
   if (body.size() < kFragHeaderSize + kMacSize)
     return err("integrity body: too short");
-  if (!check_mac(keys, "integ", body))
+  if (!check_mac(keys, kIntegLabel, body))
     return err("integrity body: MAC verification failed");
   OpenedBody opened;
   opened.frag = read_frag(body.data());
@@ -162,25 +204,23 @@ Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body) {
 }
 
 void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
-                    WireBuffer& out) {
-  out.reset(kSealHeadroom);
-  out.reserve_tail(16 + kMacSize);
-  std::uint8_t* p = out.append(16);
-  put_u64(p, info.seq);
-  put_u32(p + 8, info.config_version);
-  put_u32(p + 12, info.grace_period_secs);
-  append_mac(keys, "ping", out);
+                    std::uint8_t* out) {
+  put_u64(out, info.seq);
+  put_u32(out + 8, info.config_version);
+  put_u32(out + 12, info.grace_period_secs);
+  crypto::Sha256Digest mac = mac_over(keys, kPingLabel, ByteView(out, 16));
+  std::memcpy(out + 16, mac.data(), kMacSize);
 }
 
 Bytes seal_ping_body(const SessionKeys& keys, const PingInfo& info) {
-  WireBuffer out;
-  seal_ping_body(keys, info, out);
-  return out.take();
+  Bytes out(kPingBodySize);
+  seal_ping_body(keys, info, out.data());
+  return out;
 }
 
 Result<PingInfo> open_ping_body(const SessionKeys& keys, ByteView body) {
-  if (body.size() != 16 + kMacSize) return err("ping body: bad size");
-  if (!check_mac(keys, "ping", body))
+  if (body.size() != kPingBodySize) return err("ping body: bad size");
+  if (!check_mac(keys, kPingLabel, body))
     return err("ping body: MAC verification failed");
   PingInfo info;
   info.seq = get_u64(body.data());

@@ -6,13 +6,21 @@
 // HMAC. Both modes authenticate the fragment header, so flagged QoS
 // bytes and packet ids cannot be forged.
 //
-// The seal/open fast path is allocation-free in steady state: sealing
-// writes into a caller-provided reusable WireBuffer (payload encrypted
-// in place, headers prepended into headroom, MAC computed incrementally
-// from the session's precomputed HMAC state), and opening by rvalue
-// decrypts in place and hands the payload back inside the same buffer.
+// Every data-body seal goes through SealBurst, also for a single body.
+// It lays each body out in its final place (fragment header, an IV drawn
+// from the session's stream in burst order, the payload copy), then
+// runs the crypto of the whole burst: one multi-buffer CBC-encrypt
+// across the encrypted bodies, whatever their sessions (four chains in
+// flight, crypto/aes.hpp), then one one-call HMAC per body from the
+// session's precomputed midstates (crypto/hmac.hpp). Integrity-only
+// bodies skip the CBC phase. Frames are byte-identical to sealing the
+// bodies one at a time from the same IV streams. The seal is
+// allocation-free in steady state (callers reuse their frame buffers),
+// and opening by rvalue decrypts in place and hands the payload back
+// inside the same buffer.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "common/bytes.hpp"
@@ -29,9 +37,17 @@ namespace endbox::vpn {
 /// [frag:16][payload][mac:32] (integrity-only).
 inline constexpr std::size_t kMacSize = 32;
 inline constexpr std::size_t kFragHeaderSize = 16;  // 8 + 4 + 2 + 2
-/// Headroom a WireBuffer needs for seal_*_body plus a prepended
-/// 5-byte wire-message header.
-inline constexpr std::size_t kSealHeadroom = 5 + kFragHeaderSize + 16;
+/// Headroom seal_*_body leaves in front of a WireBuffer's body for a
+/// prepended wire-message header.
+inline constexpr std::size_t kSealHeadroom = kWireHeaderSize;
+
+/// Size of a sealed data body carrying `payload_len` bytes.
+inline constexpr std::size_t sealed_body_size(std::size_t payload_len,
+                                              bool encrypted) {
+  return kFragHeaderSize +
+         (encrypted ? 16 + crypto::cbc_padded_size(payload_len) : payload_len) +
+         kMacSize;
+}
 
 struct SessionKeys {
   SessionKeys() = default;
@@ -57,6 +73,47 @@ struct SessionKeys {
 /// Derives direction-shared session keys from the handshake material.
 SessionKeys derive_vpn_keys(std::uint64_t seed, ByteView client_nonce,
                             ByteView server_nonce);
+
+/// The burst seal of data bodies (see the header comment). add() lays a
+/// body out at once, so its payload may be reused as soon as add()
+/// returns; the body's crypto runs at flush(), or as soon as the burst
+/// holds kCapacity bodies. Outputs are complete only after flush().
+/// Lives on the caller's stack; one burst belongs to one thread.
+class SealBurst {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  SealBurst() = default;
+  SealBurst(const SealBurst&) = delete;
+  SealBurst& operator=(const SealBurst&) = delete;
+
+  /// Lays out one body at `out` (sealed_body_size bytes): a Data body
+  /// with an IV drawn from `iv_rng`, or a DataIntegrityOnly body when
+  /// `iv_rng` is null. `keys` must outlive the flush.
+  void add(const SessionKeys& keys, Rng* iv_rng, const FragmentHeader& frag,
+           ByteView payload, std::uint8_t* out);
+  /// add() into a complete wire frame: `frame` is resized to the frame
+  /// size (capacity reused) and gets the wire header of the body type.
+  void add_frame(std::uint32_t session_id, const SessionKeys& keys, Rng* iv_rng,
+                 const FragmentHeader& frag, ByteView payload, Bytes& frame);
+  /// add() into `msg`: the type, session id and body are set.
+  void add_message(std::uint32_t session_id, const SessionKeys& keys, Rng* iv_rng,
+                   const FragmentHeader& frag, ByteView payload, WireMessage& msg);
+  /// Encrypts and MACs every body added since the last flush.
+  void flush();
+
+ private:
+  struct PendingMac {
+    const crypto::HmacKey* key;
+    ByteView label;
+    std::uint8_t* body;
+    std::size_t authed_len;  ///< the MAC goes at body + authed_len
+  };
+  std::array<crypto::CbcJob, kCapacity> cbc_{};
+  std::array<PendingMac, kCapacity> macs_{};
+  std::size_t cbc_count_ = 0;
+  std::size_t mac_count_ = 0;
+};
 
 /// Seals a Data (encrypted) body into `out` (reset with kSealHeadroom;
 /// steady-state reuse of the same buffer performs no heap allocation).
@@ -90,11 +147,11 @@ Result<OpenedBody> open_data_body(const SessionKeys& keys, ByteView body);
 Result<OpenedBody> open_integrity_body(const SessionKeys& keys, ByteView body);
 
 /// Ping bodies (control channel).
+inline constexpr std::size_t kPingBodySize = 16 + kMacSize;
 Bytes seal_ping_body(const SessionKeys& keys, const PingInfo& info);
-/// Seals a ping body into `out` (reset with kSealHeadroom so a wire
-/// header can be prepended); steady-state reuse allocates nothing.
+/// Seals a ping body into the kPingBodySize bytes at `out`.
 void seal_ping_body(const SessionKeys& keys, const PingInfo& info,
-                    WireBuffer& out);
+                    std::uint8_t* out);
 Result<PingInfo> open_ping_body(const SessionKeys& keys, ByteView body);
 
 }  // namespace endbox::vpn

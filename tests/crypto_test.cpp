@@ -452,6 +452,154 @@ TEST_F(ShaKernelDiff, HmacAndDeriveKeyMatch) {
   }
 }
 
+// ---- Multi-buffer CBC-encrypt and the one-call HMAC ----------------------
+//
+// Both run under every kernel this CPU has (the portable one always),
+// pinned per case, against per-buffer / incremental oracles computed
+// on the portable kernel. Under ENDBOX_FORCE_SCALAR=1 the pins still
+// reach the hardware kernels, so each leg checks both sides.
+
+std::vector<CryptoKernel> available_aes_kernels() {
+  std::vector<CryptoKernel> kernels{CryptoKernel::Portable};
+  if (common::hardware_has_aes_ni()) kernels.push_back(CryptoKernel::Hardware);
+  return kernels;
+}
+
+std::vector<CryptoKernel> available_sha_kernels() {
+  std::vector<CryptoKernel> kernels{CryptoKernel::Portable};
+  if (common::hardware_has_sha_ni()) kernels.push_back(CryptoKernel::Hardware);
+  return kernels;
+}
+
+const char* kernel_name(CryptoKernel kernel) {
+  return kernel == CryptoKernel::Hardware ? "hardware" : "portable";
+}
+
+TEST(AesMultiBuffer, MatchesPerBufferEncryptOnRandomBursts) {
+  Rng rng(111);
+  for (int trial = 0; trial < 300; ++trial) {
+    // 1-9 jobs of 1-90 blocks, unequal lengths (lanes refill mid-burst),
+    // drawn from 1-3 keys so several jobs share a key schedule.
+    std::vector<Aes128> keys;
+    const std::size_t key_count = rng.uniform(1, 3);
+    for (std::size_t k = 0; k < key_count; ++k)
+      keys.emplace_back(make_aes_key(rng.bytes(16)));
+    const std::size_t n = rng.uniform(1, 9);
+    std::vector<const Aes128*> aes(n);
+    std::vector<Bytes> ivs(n), plain(n);
+    std::vector<std::size_t> lens(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      aes[j] = &keys[rng.uniform(0, key_count - 1)];
+      ivs[j] = rng.bytes(16);
+      const std::size_t blocks = rng.uniform(1, 90);
+      lens[j] = blocks * kAesBlockSize - rng.uniform(1, 16);
+      plain[j] = rng.bytes(blocks * kAesBlockSize);  // padding overwritten
+    }
+    std::vector<Bytes> expected = plain;
+    with_aes(CryptoKernel::Portable, [&] {
+      for (std::size_t j = 0; j < n; ++j)
+        aes128_cbc_encrypt_inplace(*aes[j], ivs[j].data(), expected[j], lens[j]);
+      return 0;
+    });
+    for (CryptoKernel kernel : available_aes_kernels()) {
+      std::vector<Bytes> bufs = plain;
+      std::vector<CbcJob> jobs;
+      for (std::size_t j = 0; j < n; ++j)
+        jobs.push_back({aes[j], ivs[j].data(), bufs[j], lens[j]});
+      with_aes(kernel, [&] {
+        aes128_cbc_encrypt_multi(jobs);
+        return 0;
+      });
+      EXPECT_EQ(bufs, expected) << "trial=" << trial << " jobs=" << n << " "
+                                << kernel_name(kernel);
+    }
+  }
+}
+
+TEST(AesMultiBuffer, EmptyBurstIsANoOpAndBadSizesThrow) {
+  for (CryptoKernel kernel : available_aes_kernels()) {
+    with_aes(kernel, [] {
+      aes128_cbc_encrypt_multi({});
+      return 0;
+    });
+  }
+  Aes128 aes(make_aes_key(Bytes(16, 7)));
+  Bytes iv(16, 1), buf(32, 2);
+  std::vector<CbcJob> jobs{{&aes, iv.data(), buf, 10}};  // padded size is 16
+  EXPECT_THROW(aes128_cbc_encrypt_multi(jobs), std::invalid_argument);
+}
+
+TEST(HmacOneCall, MatchesIncrementalForEveryLengthWithAndWithoutLabel) {
+  Rng rng(112);
+  HmacKey key(rng.bytes(32));
+  Bytes data = rng.bytes(300);
+  // No prefix, the VPN's 4-byte label, the longest one-call prefix, and
+  // a block-sized prefix (the incremental fallback).
+  const std::vector<Bytes> prefixes{Bytes{}, to_bytes("data"), rng.bytes(63),
+                                    rng.bytes(64)};
+  for (const Bytes& prefix : prefixes) {
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+      ByteView view(data.data(), len);
+      const Sha256Digest expected = with_sha(CryptoKernel::Portable, [&] {
+        HmacKey::Mac mac = key.begin();
+        mac.update(prefix);
+        mac.update(view);
+        return mac.finish();
+      });
+      for (CryptoKernel kernel : available_sha_kernels()) {
+        EXPECT_EQ(with_sha(kernel, [&] { return key.mac(prefix, view); }), expected)
+            << "prefix=" << prefix.size() << " len=" << len << " " << kernel_name(kernel);
+        if (prefix.empty()) {
+          EXPECT_EQ(with_sha(kernel, [&] { return key.mac(view); }), expected)
+              << "len=" << len << " " << kernel_name(kernel);
+        }
+      }
+    }
+  }
+}
+
+TEST(HmacOneCall, Rfc4231Vectors) {
+  struct Case {
+    Bytes key;
+    Bytes data;
+    const char* mac;
+  };
+  Bytes key4;
+  for (std::uint8_t b = 1; b <= 25; ++b) key4.push_back(b);
+  const std::vector<Case> cases{
+      {Bytes(20, 0x0b), to_bytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(131, 0xaa), to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, 0xaa),
+       to_bytes("This is a test using a larger than block-size key and a larger "
+                "than block-size data. The key needs to be hashed before being "
+                "used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (CryptoKernel kernel : available_sha_kernels()) {
+    for (const Case& c : cases) {
+      const HmacKey key(c.key);
+      const ByteView data(c.data);
+      const auto whole = with_sha(kernel, [&] { return key.mac(data); });
+      // The same message split as prefix || rest.
+      const auto split = with_sha(kernel, [&] {
+        return key.mac(data.subspan(0, 4), data.subspan(4));
+      });
+      EXPECT_EQ(to_hex(ByteView(whole.data(), whole.size())), c.mac)
+          << kernel_name(kernel);
+      EXPECT_EQ(to_hex(ByteView(split.data(), split.size())), c.mac)
+          << kernel_name(kernel);
+    }
+  }
+}
+
 // The process-wide selection is made on first use from the CPU and the
 // environment. These run in a re-executed child (threadsafe death-test
 // style), so the child's first crypto call sees the environment the

@@ -226,6 +226,64 @@ TEST_F(EnclaveFixture, TeeFanOutVerdictsMatchAtEveryLaneCount) {
   }
 }
 
+// The egress batch seals its accepted packets as one burst (one
+// multi-buffer CBC-encrypt across the burst's frames). Twin worlds
+// (same seed, so the same session keys and IV streams) push the same
+// packets through the per-packet ecall and through one batch ecall:
+// the frames must be byte-identical, encrypted and integrity-only, with
+// MTU fragmentation, and every frame must open at the server.
+TEST_F(EnclaveFixture, EgressBatchFramesMatchPerPacketFrames) {
+  for (bool encrypt : {true, false}) {
+    SCOPED_TRACE(encrypt ? "encrypted" : "integrity-only");
+    EndBoxClientOptions options;
+    options.encrypt_data = encrypt;
+    options.mtu = 600;
+    vpn::VpnServerConfig vpn_config;
+    vpn_config.allow_integrity_only = true;
+    World one_world(0xeb0c5eed, ServerMode::Plain, vpn_config);
+    World batch_world(0xeb0c5eed, ServerMode::Plain, vpn_config);
+    auto& one = one_world.add_client(one_world.publish(UseCase::Nop), options).enclave();
+    auto& batched =
+        batch_world.add_client(batch_world.publish(UseCase::Nop), options).enclave();
+
+    Rng sizes(41);
+    std::vector<std::size_t> payloads;
+    for (int i = 0; i < 48; ++i) payloads.push_back(sizes.uniform(0, 1400));
+    auto packet_of = [](World& w, std::size_t i, std::size_t payload) {
+      net::Packet packet = w.benign_packet(payload);
+      packet.src_port = static_cast<std::uint16_t>(43000 + i);
+      return packet;
+    };
+
+    std::vector<Bytes> expected;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      auto result = one.ecall_process_egress(packet_of(one_world, i, payloads[i]));
+      ASSERT_TRUE(result.ok());
+      ASSERT_TRUE(result->accepted);
+      for (Bytes& frame : result->wire) expected.push_back(std::move(frame));
+    }
+    ASSERT_GT(expected.size(), payloads.size());  // some packets fragmented
+
+    click::PacketBatch batch;
+    for (std::size_t i = 0; i < payloads.size(); ++i)
+      batch.push_back(packet_of(batch_world, i, payloads[i]));
+    EgressBatch out;
+    ASSERT_TRUE(batched.ecall_process_egress_batch(std::move(batch), out).ok());
+    EXPECT_EQ(out.accepted, payloads.size());
+    ASSERT_EQ(out.frame_count, expected.size());
+    for (std::size_t f = 0; f < out.frame_count; ++f)
+      EXPECT_EQ(out.frames[f], expected[f]) << "frame " << f;
+
+    std::size_t delivered = 0;
+    for (std::size_t f = 0; f < out.frame_count; ++f) {
+      auto handled = batch_world.server.handle_wire(out.frames[f], batch_world.clock.now());
+      ASSERT_TRUE(handled.ok()) << handled.error();
+      delivered += std::holds_alternative<vpn::VpnServer::PacketIn>(handled->event);
+    }
+    EXPECT_EQ(delivered, payloads.size());
+  }
+}
+
 TEST_F(EnclaveFixture, RulesetRegistrationIsEcall) {
   auto& enclave = provisioned();
   auto ecalls_before = enclave.transitions().ecalls;

@@ -20,6 +20,7 @@
 #include "sgx/platform.hpp"
 #include "vpn/client.hpp"
 #include "vpn/server.hpp"
+#include "vpn/session_crypto_reference.hpp"
 
 namespace endbox::vpn {
 namespace {
@@ -314,6 +315,74 @@ TEST(ServerShard, SealJobsEquivalentAcrossShardCountsAndSequentialSeal) {
   std::vector<VpnServer::SealJob> bad_jobs{{0xdeadbeefu, payloads[0]}};
   EXPECT_THROW((void)four.server.seal_jobs(bad_jobs, frames_four),
                std::logic_error);
+}
+
+// The burst seal (one multi-buffer CBC-encrypt across a lane's frames,
+// one-call MACs) against the body-at-a-time reference seal fed the same
+// IV stream: several jobs per session, some fragmented at the MTU, at 1
+// and at 4 lanes. Every frame must also open at its client.
+TEST(ServerShard, SealJobsMatchTheReferenceSealForTheSameIvStream) {
+  Pki pki;
+  VpnServerConfig config;
+  config.mtu = 300;
+  constexpr std::size_t kSessions = 7;
+  for (std::size_t lanes : {1u, 4u}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    ServerRig rig(pki, lanes, kSessions, 0x5ea1b0d5, config);
+    Rng gen(0xb0d5 + lanes);
+    for (int burst = 0; burst < 4; ++burst) {
+      std::vector<Bytes> payloads;
+      std::vector<VpnServer::SealJob> jobs;
+      for (int p = 0; p < 40; ++p) {
+        // Up to four fragments per job; payload sizes cover every
+        // padding length.
+        payloads.push_back(gen.bytes(gen.uniform(0, 1100)));
+      }
+      for (const Bytes& payload : payloads)
+        jobs.push_back({rig.clients[gen.uniform(0, kSessions - 1)].session_id(), payload});
+
+      // The oracle replays each session's state from before the burst.
+      std::map<std::uint32_t, VpnServer::SealState> states;
+      for (const auto& client : rig.clients) {
+        auto state = rig.server.seal_state(client.session_id());
+        ASSERT_TRUE(state.has_value());
+        states.emplace(client.session_id(), std::move(*state));
+      }
+      std::vector<Bytes> expected;
+      for (const auto& job : jobs) {
+        VpnServer::SealState& state = states.at(job.session_id);
+        for_each_fragment(
+            job.ip_packet, config.mtu, state.next_packet_id, state.next_frag_id++,
+            [&](const FragmentHeader& frag, ByteView slice) {
+              WireMessage msg;
+              msg.type = MsgType::Data;
+              msg.session_id = job.session_id;
+              msg.body = reference::seal_data_body(state.keys, frag, slice, state.iv_rng);
+              expected.push_back(msg.serialize());
+            });
+      }
+
+      std::vector<Bytes> frames;
+      std::size_t n = rig.server.seal_jobs(jobs, frames);
+      ASSERT_EQ(n, expected.size());
+      for (std::size_t f = 0; f < n; ++f)
+        EXPECT_EQ(frames[f], expected[f]) << "burst " << burst << " frame " << f;
+
+      std::size_t opened = 0;
+      for (std::size_t f = 0; f < n; ++f) {
+        auto msg = WireMessage::parse(frames[f]);
+        ASSERT_TRUE(msg.ok());
+        auto client = std::find_if(rig.clients.begin(), rig.clients.end(), [&](const auto& c) {
+          return c.session_id() == msg->session_id;
+        });
+        ASSERT_NE(client, rig.clients.end());
+        auto packet = client->open_data(*msg);
+        ASSERT_TRUE(packet.ok()) << packet.error();
+        opened += packet->has_value();
+      }
+      EXPECT_EQ(opened, jobs.size());
+    }
+  }
 }
 
 TEST(ServerShard, ReshardUnderLoadKeepsReplayWindowsAndFragments) {
